@@ -126,8 +126,10 @@ def _run_trial(n: int, q: int, mode: str, seed: int, node_budget: int) -> str:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Run every (n, q) cell of the spec; returns rows sorted by (n, q).
 
-    workers > 1 spreads trials over a thread pool (the compiled search
-    kernel releases the GIL).  Timings are averaged in trial order, so
+    workers > 1 spreads trials over a thread pool.  Searches overlap
+    only under numba, whose compiled kernel releases the GIL; on the
+    Python backend the threads share the interpreter lock and give no
+    speed-up.  Timings are averaged in trial order, so
     only mean_ms — and nothing else — can differ between runs, and with
     record_timings=False it is pinned to 0.0.
     """

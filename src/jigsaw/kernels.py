@@ -1,23 +1,43 @@
 """Backtracking search kernel, compiled with numba when available.
 
-The scanline search below is the hot loop of the whole package: the
+The search below is the hot loop of the whole package: the
 phase-transition sweeps call it hundreds of times per (n, q) cell.  It
 is written in array-only style so the same function body runs both ways:
 
 * compiled with ``numba.njit(cache=True, nogil=True)`` (default), or
-* as plain Python over numpy arrays when the environment variable
-  ``JIGSAW_DISABLE_NUMBA`` is set to a non-empty value, or when numba
-  is not importable.
+* as plain Python when the environment variable ``JIGSAW_DISABLE_NUMBA``
+  is set to a non-empty value, or when numba is not importable.
 
-``search_compiled`` / ``search_python`` are both exported so the
-benchmark in benchmarks/bench_solver.py can time one against the other;
-``search`` is the selected default.  ``nogil=True`` lets sweep threads
-overlap searches.
+``search_compiled`` / ``search_python`` are both exported so tests can
+run one against the other; ``search`` is the selected default.  Under
+numba, ``nogil=True`` lets sweep threads overlap searches.
 
-Search order: cells row-major; candidates at each cell ordered by
-(piece index, rotation).  A node is one successful placement.  Statuses:
-0 = search space exhausted (count is exact), 1 = count reached `limit`,
-2 = node budget exhausted.
+Inputs come from ``as_backend`` and scratch buffers from ``zeros``:
+int64 arrays for numba, plain ``list``s of Python ints for the Python
+body, which indexes a list several times faster than a numpy array.
+
+Cell order is data.  Position d of the search fills one grid cell;
+``top_pos[d]`` and ``left_pos[d]`` give the positions of that cell's top
+and left neighbours, or -1 for none, and every neighbour comes earlier.
+solver._SearchPlan passes the growing-square order: shell k is column
+``(0..k-1, k)`` from the top down, then row ``(k, 0..k)`` from left to
+right.  The cells with one placed neighbour (first row and column) then
+come one per half-shell, each followed by cells that match on two
+sides and prune its branches at once; the scanline order places the
+whole first row, n - 1 cells matched on one side, before any other.
+
+Candidates for a position are the orientations (``4 * piece +
+rotation``) whose shown (top, left) colours match the neighbours'
+shown (bottom, right) colours; a missing neighbour is the wildcard
+colour ``width - 1``.  ``keys`` is an open-addressing table of
+``top * width + left`` keys in ``2**bits`` slots, probed linearly from
+``home_slot`` (-1 marks an empty slot, and at least one slot is empty);
+slot s holds candidates ``items[los[s]:his[s]]`` in (piece, rotation)
+order.
+
+A node is one successful placement.  Statuses: 0 = search space
+exhausted (count is exact), 1 = count reached `limit`, 2 = node budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -31,79 +51,67 @@ STATUS_LIMIT = 1
 STATUS_BUDGET = 2
 
 
-def _search_impl(n, items, l_start, t_start, tl_start, num_colors,
-                 bottoms, rights, limit, budget, max_store, sols):
-    """Count assemblies of n*n pieces whose touching sides match.
+def _search_impl(items, keys, los, his, bits, width, top_pos, left_pos,
+                 bottoms, rights, limit, budget, max_store, sols,
+                 used, chosen, ptr, end):
+    """Count placements of one piece per position whose touching sides match.
 
-    items concatenates four candidate regions (see solver._SearchPlan):
-    all orientations, then buckets by shown-left colour, by shown-top
-    colour, and by (top, left) pairs; the *_start arrays hold absolute
-    offsets into items.  bottoms/rights give each orientation's shown
-    bottom/right colour (colours remapped to a dense 0..num_colors-1).
-    Up to max_store full placements are copied into sols.
+    bottoms/rights give each orientation's shown bottom/right colour.
+    used (per piece) and chosen/ptr/end (per position) are zeroed
+    scratch buffers.  The first max_store placements found are copied,
+    one row of len(top_pos) orientations each, into the flat sols.
+    Returns (status, count, nodes, stored).
     """
-    num_cells = n * n
-    num_pieces = num_cells
-    used = np.zeros(num_pieces, dtype=np.uint8)
-    chosen = np.zeros(num_cells, dtype=np.int64)
-    ptr = np.zeros(num_cells, dtype=np.int64)
-    hi = np.zeros(num_cells, dtype=np.int64)
-    right_shown = np.zeros(num_cells, dtype=np.int64)
-    bottom_shown = np.zeros(num_cells, dtype=np.int64)
-
+    num_cells = len(top_pos)
+    last = num_cells - 1
+    wild = width - 1
+    mask = (1 << bits) - 1
     count = 0
     nodes = 0
     stored = 0
+    it = 0
     k = 0
-    ptr[0] = 0
-    hi[0] = 4 * num_pieces
     while True:
-        i = ptr[k]
-        h = hi[k]
-        while i < h and used[items[i] >> 2] == 1:
-            i += 1
-        if i >= h:
-            if k == 0:
-                return STATUS_COMPLETE, count, nodes, stored
-            k -= 1
-            used[chosen[k] >> 2] = 0
-            ptr[k] += 1
-            continue
+        # position k was just reached: find its candidate range
+        tp = top_pos[k]
+        lp = left_pos[k]
+        key = (wild if tp < 0 else bottoms[chosen[tp]]) * width + (wild if lp < 0 else rights[chosen[lp]])
+        s = ((key * 0x9E3779B1) & 0xFFFFFFFF) >> (32 - bits)  # home_slot, inlined
+        while keys[s] != key and keys[s] != -1:
+            s = (s + 1) & mask
+        i = los[s]
+        h = his[s]
+        while True:
+            while i < h and used[items[i] >> 2] == 1:
+                i += 1
+            if i < h:
+                it = items[i]
+                nodes += 1
+                if nodes > budget:
+                    return STATUS_BUDGET, count, nodes, stored
+                chosen[k] = it
+                if k < last:
+                    break
+                count += 1
+                if stored < max_store:
+                    base = stored * num_cells
+                    for d in range(num_cells):
+                        sols[base + d] = chosen[d]
+                    stored += 1
+                if count >= limit:
+                    return STATUS_LIMIT, count, nodes, stored
+                i += 1
+            else:
+                if k == 0:
+                    return STATUS_COMPLETE, count, nodes, stored
+                k -= 1
+                used[chosen[k] >> 2] = 0
+                i = ptr[k] + 1
+                h = end[k]
+        used[it >> 2] = 1
         ptr[k] = i
-        it = items[i]
-        p = it >> 2
-        used[p] = 1
-        chosen[k] = it
-        right_shown[k] = rights[it]
-        bottom_shown[k] = bottoms[it]
-        nodes += 1
-        if nodes > budget:
-            return STATUS_BUDGET, count, nodes, stored
-        if k == num_cells - 1:
-            count += 1
-            if stored < max_store:
-                for d in range(num_cells):
-                    sols[stored, d] = chosen[d]
-                stored += 1
-            if count >= limit:
-                return STATUS_LIMIT, count, nodes, stored
-            used[p] = 0
-            ptr[k] += 1
-            continue
+        end[k] = h
         k += 1
-        row = k // n
-        if row == 0:
-            c = right_shown[k - 1]
-            ptr[k] = l_start[c]
-            hi[k] = l_start[c + 1]
-        elif k - row * n == 0:
-            c = bottom_shown[k - n]
-            ptr[k] = t_start[c]
-            hi[k] = t_start[c + 1]
-        else:
-            key = bottom_shown[k - n] * num_colors + right_shown[k - 1]
-            ptr[k] = tl_start[key]
-            hi[k] = tl_start[key + 1]
 
 
 search_python = _search_impl
@@ -124,3 +132,26 @@ if search_compiled is not None:
 else:
     search = search_python
     ACTIVE_BACKEND = "python"
+
+
+def home_slot(key, bits):
+    """First slot probed for key in a table of 2**bits slots (Fibonacci hashing).
+
+    The keys of one table run in blocks of consecutive integers, which
+    a plain low-bits hash would pile into one long probe run.
+    """
+    return ((key * 0x9E3779B1) & 0xFFFFFFFF) >> (32 - bits)
+
+
+def as_backend(values):
+    """values in the form the active kernel indexes fastest."""
+    if ACTIVE_BACKEND == "numba":
+        return np.asarray(values, dtype=np.int64)
+    return list(values)
+
+
+def zeros(size):
+    """A zeroed scratch buffer in the form of as_backend."""
+    if ACTIVE_BACKEND == "numba":
+        return np.zeros(size, dtype=np.int64)
+    return [0] * size

@@ -8,9 +8,14 @@ rotating the finished puzzle) exactly when the raw count of valid
 (placement, rotation) assemblies is 4.  For n = 1 the count is always 4
 and every rotation shows the same border, so a 1x1 puzzle is Unique.
 
-The search stops at the 5th assembly when deciding uniqueness; among
-any 5 distinct valid assemblies at least one is not a global rotation
-of the identity and serves as the non-uniqueness witness.
+Every search pins piece 0 (the lowest label) to rotation 0.  Turning a
+whole assembly adds 1 to the rotation of every piece, so exactly one of
+each assembly's four global rotations meets the pin, and the raw count
+is 4 times the pinned count.  The identity placement is the pinned
+rotation of its own orbit, so deciding uniqueness stops at the 2nd
+pinned assembly: the puzzle is unique exactly when the search completes
+with a pinned count of 1, and otherwise the pinned assembly that is not
+the identity is the non-uniqueness witness.
 """
 
 from __future__ import annotations
@@ -19,19 +24,15 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import kernels
 from .core import (
     Assembly,
-    EdgePairing,
     GridColoring,
-    Label,
     PieceBag,
-    Sides,
     edge_pairing,
     identity_assembly,
     pieces_of,
+    rotate_assembly,
     rotate_tuple,
 )
 
@@ -39,8 +40,6 @@ DEFAULT_COUNT_LIMIT = 1_000_000
 DEFAULT_NODE_BUDGET = 50_000_000
 
 __all__ = [
-    "CompatIndex",
-    "build_index",
     "ValidCount",
     "count_valid",
     "enumerate_assemblies",
@@ -57,137 +56,111 @@ class WitnessFormatError(ValueError):
     """Raised when witness text does not parse."""
 
 
-@dataclass(frozen=True)
-class CompatIndex:
-    """Candidate lookup keyed by demanded (top, left) shown colours.
-
-    lookup(top=None, ...) treats that constraint as a wildcard.  Every
-    list is sorted by (label, rotation) so search order is reproducible.
-    """
-
-    exact: dict
-    by_top: dict
-    by_left: dict
-    all_items: tuple
-
-    def lookup(self, top: Optional[int] = None, left: Optional[int] = None) -> tuple:
-        if top is None and left is None:
-            return self.all_items
-        if top is None:
-            return self.by_left.get(left, ())
-        if left is None:
-            return self.by_top.get(top, ())
-        return self.exact.get((top, left), ())
-
-
-def build_index(bag: PieceBag) -> CompatIndex:
-    exact: dict = {}
-    by_top: dict = {}
-    by_left: dict = {}
-    everything = []
-    for piece in sorted(bag, key=lambda p: p.label):
-        for r in range(4):
-            shown = rotate_tuple(piece.sides, r)
-            entry = (piece.label, r)
-            everything.append(entry)
-            exact.setdefault((shown[0], shown[3]), []).append(entry)
-            by_top.setdefault(shown[0], []).append(entry)
-            by_left.setdefault(shown[3], []).append(entry)
-    return CompatIndex(
-        exact={k: tuple(v) for k, v in exact.items()},
-        by_top={k: tuple(v) for k, v in by_top.items()},
-        by_left={k: tuple(v) for k, v in by_left.items()},
-        all_items=tuple(everything),
-    )
+def _square_order(n: int) -> list:
+    """Grid cells in growing-square order (see kernels)."""
+    cells = []
+    for k in range(n):
+        cells.extend((i, k) for i in range(k))
+        cells.extend((k, j) for j in range(k + 1))
+    return cells
 
 
 class _SearchPlan:
-    """Flat-array form of a piece bag for the kernel in kernels.py."""
+    """Kernel inputs for a piece bag, with piece 0 pinned to rotation 0.
 
-    def __init__(self, bag: PieceBag, n: int):
+    cells is the search order, growing-square by default; every cell's
+    top and left neighbours must come before it.  The candidate table
+    has one slot per (top, left) pair that some orientation shows, plus
+    the wildcard pairs of cells with a missing neighbour, so its size
+    is linear in the number of pieces.
+    """
+
+    def __init__(self, bag: PieceBag, n: int, cells: Optional[list] = None):
         if len(bag) != n * n:
             raise ValueError(f"bag has {len(bag)} pieces, expected {n * n}")
         self.n = n
         self.pieces = sorted(bag, key=lambda p: p.label)
-        colors = sorted({c for p in self.pieces for c in p.sides})
-        cmap = {c: k for k, c in enumerate(colors)}
-        C = len(colors)
-        self.num_colors = C
-        P = n * n
-        tops = np.zeros(4 * P, dtype=np.int64)
-        rights = np.zeros(4 * P, dtype=np.int64)
-        bottoms = np.zeros(4 * P, dtype=np.int64)
-        lefts = np.zeros(4 * P, dtype=np.int64)
-        for pi, piece in enumerate(self.pieces):
-            for r in range(4):
-                shown = rotate_tuple(piece.sides, r)
-                it = pi * 4 + r
-                tops[it] = cmap[shown[0]]
-                rights[it] = cmap[shown[1]]
-                bottoms[it] = cmap[shown[2]]
-                lefts[it] = cmap[shown[3]]
-        self.bottoms = bottoms
-        self.rights = rights
+        self.cells = _square_order(n) if cells is None else list(cells)
+        pos = {cell: d for d, cell in enumerate(self.cells)}
+        top_pos = [pos.get((i - 1, j), -1) for i, j in self.cells]
+        left_pos = [pos.get((i, j - 1), -1) for i, j in self.cells]
+        if sorted(self.cells) != [(i, j) for i in range(n) for j in range(n)] or any(
+            max(t, l) > d for d, (t, l) in enumerate(zip(top_pos, left_pos))
+        ):
+            raise ValueError("cells must list every grid cell once, after its top and left neighbours")
 
-        all_items = list(range(4 * P))
-        l_buckets: list[list[int]] = [[] for _ in range(C)]
-        t_buckets: list[list[int]] = [[] for _ in range(C)]
-        tl_buckets: list[list[int]] = [[] for _ in range(C * C)]
-        for it in all_items:
-            l_buckets[lefts[it]].append(it)
-            t_buckets[tops[it]].append(it)
-            tl_buckets[tops[it] * C + lefts[it]].append(it)
+        self.colors = sorted({c for p in self.pieces for c in p.sides})
+        cmap = {c: k for k, c in enumerate(self.colors)}
+        width = len(self.colors) + 1
+        wild = width - 1
+        shown = [
+            [cmap[c] for c in rotate_tuple(p.sides, r)] for p in self.pieces for r in range(4)
+        ]
+        groups: dict = {}
+        for it, (t, _, _, l) in enumerate(shown):
+            if 0 < it < 4:  # the pin: piece 0 shows only rotation 0
+                continue
+            for key in (t * width + l, t * width + wild, wild * width + l, wild * width + wild):
+                groups.setdefault(key, []).append(it)
+        bits = (2 * len(groups)).bit_length()
+        mask = (1 << bits) - 1
+        keys = [-1] * (mask + 1)
+        los = [0] * (mask + 1)
+        his = [0] * (mask + 1)
+        items: list = []
+        for key, members in groups.items():
+            s = kernels.home_slot(key, bits)
+            while keys[s] != -1:
+                s = (s + 1) & mask
+            keys[s] = key
+            los[s] = len(items)
+            items.extend(members)
+            his[s] = len(items)
 
-        items = list(all_items)
-        l_start = np.zeros(C + 1, dtype=np.int64)
-        for c in range(C):
-            l_start[c] = len(items)
-            items.extend(l_buckets[c])
-        l_start[C] = len(items)
-        t_start = np.zeros(C + 1, dtype=np.int64)
-        for c in range(C):
-            t_start[c] = len(items)
-            items.extend(t_buckets[c])
-        t_start[C] = len(items)
-        tl_start = np.zeros(C * C + 1, dtype=np.int64)
-        for k in range(C * C):
-            tl_start[k] = len(items)
-            items.extend(tl_buckets[k])
-        tl_start[C * C] = len(items)
-        self.items = np.array(items, dtype=np.int64)
-        self.l_start = l_start
-        self.t_start = t_start
-        self.tl_start = tl_start
+        to = kernels.as_backend
+        self.inputs = (
+            to(items), to(keys), to(los), to(his), bits, width, to(top_pos), to(left_pos),
+            to([sh[2] for sh in shown]), to([sh[1] for sh in shown]),
+        )
+
+    def candidates(self, top, left) -> list:
+        """(label, rotation) of each orientation the kernel tries where the
+        neighbours show colours top and left (None: no neighbour there),
+        in search order."""
+        items, keys, los, his, bits, width = self.inputs[:6]
+        code = {c: k for k, c in enumerate(self.colors)}
+        code[None] = width - 1
+        if top not in code or left not in code:
+            return []
+        key = code[top] * width + code[left]
+        s = kernels.home_slot(key, bits)
+        while keys[s] != key and keys[s] != -1:
+            s = (s + 1) % len(keys)
+        return [(self.pieces[int(it) >> 2].label, int(it) & 3) for it in items[los[s]:his[s]]]
+
+    def arguments(self, limit: int, budget: int, max_store: int) -> tuple:
+        """Everything kernels.search takes, with fresh scratch buffers."""
+        zeros = kernels.zeros
+        cells = len(self.cells)
+        return self.inputs + (
+            limit, budget, max_store, zeros(max_store * cells),
+            zeros(len(self.pieces)), zeros(cells), zeros(cells), zeros(cells),
+        )
 
     def run(self, limit: int, budget: int, max_store: int):
-        sols = np.zeros((max_store, self.n * self.n), dtype=np.int64)
-        status, count, nodes, stored = kernels.search(
-            self.n,
-            self.items,
-            self.l_start,
-            self.t_start,
-            self.tl_start,
-            self.num_colors,
-            self.bottoms,
-            self.rights,
-            limit,
-            budget,
-            max_store,
-            sols,
-        )
-        return status, count, nodes, stored, sols
+        """(status, pinned count, nodes, first stored assemblies)."""
+        args = self.arguments(limit, budget, max_store)
+        status, count, nodes, stored = kernels.search(*args)
+        sols = args[13]  # the flat buffer of stored placements
+        return status, count, nodes, [self._assembly(sols, k) for k in range(stored)]
 
-    def assembly_from_items(self, row: np.ndarray) -> Assembly:
-        n = self.n
-        cells = []
-        for i in range(n):
-            cells.append(
-                tuple(
-                    (self.pieces[int(row[i * n + j]) >> 2].label, int(row[i * n + j]) & 3)
-                    for j in range(n)
-                )
-            )
-        return Assembly(n=n, cells=tuple(cells))
+    def _assembly(self, sols, k: int) -> Assembly:
+        grid = [[None] * self.n for _ in range(self.n)]
+        base = k * len(self.cells)
+        for d, (i, j) in enumerate(self.cells):
+            it = int(sols[base + d])
+            grid[i][j] = (self.pieces[it >> 2].label, it & 3)
+        return Assembly(n=self.n, cells=tuple(tuple(row) for row in grid))
 
 
 @dataclass(frozen=True)
@@ -199,19 +172,32 @@ class ValidCount:
 
 
 def count_valid(bag: PieceBag, n: int, limit: int = DEFAULT_COUNT_LIMIT) -> ValidCount:
-    """Count valid assemblies, stopping once `limit` are found."""
+    """Count valid assemblies, stopping once `limit` are found.
+
+    Assemblies are counted in whole rotation orbits of 4, so an
+    at-least count is the smallest multiple of 4 that is >= limit.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     plan = _SearchPlan(bag, n)
-    status, count, _, _, _ = plan.run(limit=limit, budget=2**62, max_store=0)
-    return ValidCount(count=count, exact=status == kernels.STATUS_COMPLETE)
+    status, count, _, _ = plan.run(limit=-(-limit // 4), budget=2**62, max_store=0)
+    return ValidCount(count=4 * count, exact=status == kernels.STATUS_COMPLETE)
 
 
 def enumerate_assemblies(bag: PieceBag, n: int, limit: int = 10_000) -> list[Assembly]:
-    """All valid assemblies (at most `limit`), in search order."""
-    plan = _SearchPlan(bag, n)
-    status, count, _, stored, sols = plan.run(limit=limit, budget=2**62, max_store=limit)
-    return [plan.assembly_from_items(sols[k]) for k in range(stored)]
+    """All valid assemblies (at most `limit`), in search order.
+
+    Each assembly the pinned search finds comes with its three global
+    rotations right after it.
+    """
+    pinned = -(-limit // 4)
+    _, _, _, found = _SearchPlan(bag, n).run(limit=pinned, budget=2**62, max_store=pinned)
+    out = []
+    for asm in found:
+        for _ in range(4):
+            out.append(asm)
+            asm = rotate_assembly(asm)
+    return out[:limit]
 
 
 @dataclass(frozen=True)
@@ -234,22 +220,20 @@ def decide_unique(gc: GridColoring, budget: int = DEFAULT_NODE_BUDGET) -> Unique
     verdict is Undetermined; raising the budget can only turn
     Undetermined into a definite answer, never flip a definite one.
     """
-    bag = pieces_of(gc)
-    plan = _SearchPlan(bag, gc.n)
-    status, count, nodes, stored, sols = plan.run(limit=5, budget=budget, max_store=5)
+    plan = _SearchPlan(pieces_of(gc), gc.n)
+    status, count, nodes, found = plan.run(limit=2, budget=budget, max_store=2)
     if status == kernels.STATUS_BUDGET:
         return UniquenessVerdict(
             kind="undetermined",
             nodes=nodes,
-            reason=f"node budget {budget} exhausted after {count} assemblies",
+            reason=f"node budget {budget} exhausted after {count} pinned assemblies",
         )
-    if status == kernels.STATUS_COMPLETE and count == 4:
+    if status == kernels.STATUS_COMPLETE and count == 1:
         return UniquenessVerdict(kind="unique", nodes=nodes)
-    # Raw count exceeds the four global rotations: pick the first found
-    # assembly that realises a different pairing.
+    # A second pinned assembly exists; at most one of the two is the
+    # identity, and the other realises a different pairing.
     original = edge_pairing(identity_assembly(gc.n))
-    for k in range(stored):
-        asm = plan.assembly_from_items(sols[k])
+    for asm in found:
         if edge_pairing(asm) != original:
             return UniquenessVerdict(kind="nonunique", witness=asm, nodes=nodes)
     raise AssertionError("search reported extra assemblies but no distinct pairing")

@@ -35,35 +35,38 @@ def brute_force_n2(bag: PieceBag) -> list[Assembly]:
 
 
 def brute_force_recursive(bag: PieceBag, n: int, cap: int = 10**6) -> list[Assembly]:
-    """Index-free recursive backtracker over dict lookups, any n."""
+    """Index-free recursive backtracker, any n: at each row-major cell it
+    tries every unused piece in every rotation against the shown colours
+    of its left and top neighbours.  Stops after `cap` assemblies."""
     pieces = sorted(bag.pieces, key=lambda p: p.label)
-    by_label = {p.label: p for p in pieces}
+    shown_of = [[rotate_tuple(p.sides, r) for r in range(4)] for p in pieces]
     found: list[Assembly] = []
-    grid: dict = {}
+    grid: dict = {}  # (i, j) -> (piece index, rotation)
     used = [False] * len(pieces)
 
     def place(k: int) -> bool:
         if len(found) >= cap:
             return True
         if k == n * n:
-            cells = tuple(tuple(grid[(i, j)] for j in range(n)) for i in range(n))
+            cells = tuple(
+                tuple((pieces[grid[(i, j)][0]].label, grid[(i, j)][1]) for j in range(n))
+                for i in range(n)
+            )
             found.append(Assembly(n=n, cells=cells))
             return False
         i, j = divmod(k, n)
-        for idx, piece in enumerate(pieces):
+        left = shown_of[grid[(i, j - 1)][0]][grid[(i, j - 1)][1]][1] if j > 0 else None
+        top = shown_of[grid[(i - 1, j)][0]][grid[(i - 1, j)][1]][2] if i > 0 else None
+        for idx in range(len(pieces)):
             if used[idx]:
                 continue
             for r in range(4):
-                shown = rotate_tuple(piece.sides, r)
-                if j > 0:
-                    left_piece, left_r = grid[(i, j - 1)]
-                    if rotate_tuple(by_label[left_piece].sides, left_r)[1] != shown[3]:
-                        continue
-                if i > 0:
-                    top_piece, top_r = grid[(i - 1, j)]
-                    if rotate_tuple(by_label[top_piece].sides, top_r)[2] != shown[0]:
-                        continue
-                grid[(i, j)] = (piece.label, r)
+                shown = shown_of[idx][r]
+                if left is not None and shown[3] != left:
+                    continue
+                if top is not None and shown[0] != top:
+                    continue
+                grid[(i, j)] = (idx, r)
                 used[idx] = True
                 if place(k + 1):
                     return True

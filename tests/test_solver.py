@@ -5,9 +5,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jigsaw import kernels
 from jigsaw.core import (
     Assembly,
     Piece,
@@ -18,9 +19,10 @@ from jigsaw.core import (
     pieces_of,
     rotate_tuple,
 )
+from jigsaw.harness import derive_trial_seed
 from jigsaw.solver import (
     WitnessFormatError,
-    build_index,
+    _SearchPlan,
     count_valid,
     decide_unique,
     enumerate_assemblies,
@@ -66,6 +68,12 @@ class TestBruteForceAgreement:
         assert len(got) == len(oracle)
         assert {assembly_key(a) for a in got} == {assembly_key(a) for a in oracle}
 
+    def test_at_least_count_rounds_up_to_orbit(self):
+        bag = pieces_of(generate_puzzle(2, 1, seed=0))
+        res = count_valid(bag, 2, limit=10)
+        assert not res.exact and res.count == 12
+        assert len(enumerate_assemblies(bag, 2, limit=10)) == 10
+
     @pytest.mark.parametrize("seed", range(8))
     def test_count_divisible_by_four(self, seed):
         # valid assemblies come in whole rotation orbits
@@ -76,45 +84,92 @@ class TestBruteForceAgreement:
             assert res.count >= 4
 
 
-class TestCompatIndex:
-    def bag(self):
-        return PieceBag(
-            pieces=(
-                Piece((0, 0), (1, 2, 3, 4)),
-                Piece((0, 1), (5, 5, 5, 5)),
-            )
-        )
+class TestSearchOrder:
+    @pytest.mark.parametrize("n,trial", [(7, t) for t in range(4)] + [(8, t) for t in range(3)])
+    def test_unique_regime_q_n_squared(self, n, trial):
+        # the scanline order spent a 2M-node budget on each of these
+        gc = generate_puzzle(n, n * n, derive_trial_seed(31337, n, n * n, trial))
+        assert decide_unique(gc, budget=2_000_000).kind == "unique"
+
+    @pytest.mark.parametrize(
+        "n,q,seed",
+        [(3, q, s) for q in range(2, 9) for s in range(3)] + [(4, q, 0) for q in range(4, 9)],
+    )
+    def test_oracle_agreement_frozen_seeds(self, n, q, seed):
+        gc = generate_puzzle(n, q, seed=seed)
+        bag = pieces_of(gc)
+        cap = 100  # a multiple of 4, so an at-least count equals the capped oracle
+        oracle = brute_force_recursive(bag, n, cap=cap)
+        res = count_valid(bag, n, limit=cap)
+        assert res.count == len(oracle)
+        assert res.exact == (len(oracle) < cap)
+        if res.exact:
+            got = enumerate_assemblies(bag, n, limit=cap)
+            assert sorted(a.cells for a in got) == sorted(a.cells for a in oracle)
+        assert decide_unique(gc).kind == ("unique" if len(oracle) == 4 else "nonunique")
+
+    def test_scanline_order_same_verdicts(self):
+        # the frozen seeds of acceptance test 10
+        n = 4
+        scanline = [(i, j) for i in range(n) for j in range(n)]
+        for q in (1, 2, 4, 8, 16, 32, 64):
+            for t in range(200):
+                gc = generate_puzzle(n, q, derive_trial_seed(31337, n, q, t))
+                plan = _SearchPlan(pieces_of(gc), n, cells=scanline)
+                status, count, _, _ = plan.run(limit=2, budget=2**62, max_store=0)
+                unique = status == kernels.STATUS_COMPLETE and count == 1
+                assert decide_unique(gc).kind == ("unique" if unique else "nonunique"), (q, t)
+
+    def test_order_must_place_neighbours_first(self):
+        bag = pieces_of(generate_puzzle(2, 2, seed=0))
+        for cells in ([(1, 1), (0, 0), (0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0), (0, 0)]):
+            with pytest.raises(ValueError, match="every grid cell once"):
+                _SearchPlan(bag, 2, cells=cells)
+
+
+class TestCandidateIndex:
+    @staticmethod
+    def expected(bag, top, left):
+        # every orientation showing the pair, except the pinned piece 0
+        # (lowest label) in rotations 1..3
+        out = []
+        for k, piece in enumerate(sorted(bag, key=lambda p: p.label)):
+            for r in range(1 if k == 0 else 4):
+                shown = rotate_tuple(piece.sides, r)
+                if top in (None, shown[0]) and left in (None, shown[3]):
+                    out.append((piece.label, r))
+        return out
 
     def test_exact_lookup_spec_example(self):
-        idx = build_index(self.bag())
+        bag = PieceBag(
+            pieces=(
+                Piece((0, 0), (5, 5, 5, 5)),
+                Piece((0, 1), (1, 2, 3, 4)),
+                Piece((1, 0), (6, 6, 6, 6)),
+                Piece((1, 1), (7, 7, 7, 7)),
+            )
+        )
+        plan = _SearchPlan(bag, 2)
         # show top=3 and left=2: rotate (1,2,3,4) so side 2 faces up and
         # side 1 faces left -> rotation 2
-        assert idx.lookup(top=3, left=2) == ((((0, 0)), 2),)
+        assert plan.candidates(3, 2) == [((0, 1), 2)]
+        assert plan.candidates(9, 2) == []
+        # piece 0 is pinned to rotation 0
+        assert plan.candidates(5, 5) == [((0, 0), 0)]
 
-    def test_wildcards(self):
-        idx = build_index(self.bag())
-        assert len(idx.lookup()) == 8
-        tops = idx.lookup(top=5)
-        assert tops == tuple(((0, 1), r) for r in range(4))
-        assert idx.lookup(top=9) == ()
-        assert idx.lookup(top=1, left=9) == ()
-        # left-only wildcard
-        lefts = idx.lookup(left=4)
-        assert (((0, 0)), 0) in lefts
-
-    def test_q1_all_entries(self):
-        bag = pieces_of(generate_puzzle(2, 1, seed=3))
-        idx = build_index(bag)
-        assert len(idx.lookup(top=0, left=0)) == 16  # 4 pieces x 4 rotations
-
-    @given(sides=st.tuples(*[st.integers(0, 4)] * 4))
-    @settings(max_examples=50)
-    def test_lookup_matches_definition(self, sides):
-        bag = PieceBag(pieces=(Piece((0, 0), sides),))
-        idx = build_index(bag)
-        for r in range(4):
-            shown = rotate_tuple(sides, r)
-            assert ((0, 0), r) in idx.lookup(top=shown[0], left=shown[3])
+    @given(
+        sides=st.lists(st.tuples(*[st.integers(0, 4)] * 4), min_size=4, max_size=4),
+        perm=st.permutations(range(4)),
+    )
+    @example(sides=[(0, 0, 0, 0)] * 4, perm=[0, 1, 2, 3])  # one colour: every entry
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_matches_definition(self, sides, perm):
+        labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        bag = PieceBag(pieces=tuple(Piece(labels[k], sides[k]) for k in perm))
+        plan = _SearchPlan(bag, 2)
+        for top in [None, *range(6)]:
+            for left in [None, *range(6)]:
+                assert plan.candidates(top, left) == self.expected(bag, top, left)
 
 
 class TestDecideUnique:
@@ -232,20 +287,11 @@ class TestWitnessFormat:
 
 class TestBackends:
     def test_python_matches_active_backend(self):
-        import numpy as np
-
-        from jigsaw import kernels
-        from jigsaw.solver import _SearchPlan
-
         for seed in range(15):
             gc = generate_puzzle(2, seed % 3 + 1, seed=seed)
             plan = _SearchPlan(pieces_of(gc), 2)
             active = plan.run(limit=10**6, budget=2**62, max_store=0)
-            sols = np.empty((0, 4), dtype=np.int64)
-            ref = kernels.search_python(
-                2, plan.items, plan.l_start, plan.t_start, plan.tl_start,
-                plan.num_colors, plan.bottoms, plan.rights, 10**6, 2**62, 0, sols,
-            )
+            ref = kernels.search_python(*plan.arguments(limit=10**6, budget=2**62, max_store=0))
             assert active[:3] == ref[:3]
 
     def test_disable_flag_selects_python(self):
