@@ -127,7 +127,7 @@ class TestSearchOrder:
                 _SearchPlan(bag, 2, cells=cells)
 
 
-class TestCandidateIndex:
+class TestCompatIndex:
     @staticmethod
     def expected(bag, top, left):
         # every orientation showing the pair, except the pinned piece 0
@@ -156,6 +156,30 @@ class TestCandidateIndex:
         assert plan.candidates(9, 2) == []
         # piece 0 is pinned to rotation 0
         assert plan.candidates(5, 5) == [((0, 0), 0)]
+
+    def test_wildcards(self):
+        bag = PieceBag(
+            pieces=(
+                Piece((0, 0), (5, 5, 5, 5)),
+                Piece((0, 1), (1, 2, 3, 4)),
+                Piece((1, 0), (6, 6, 6, 6)),
+                Piece((1, 1), (7, 7, 7, 7)),
+            )
+        )
+        plan = _SearchPlan(bag, 2)
+        # no constraint: the pinned piece once, the other three in 4 rotations
+        assert len(plan.candidates(None, None)) == 13
+        assert plan.candidates(6, None) == [((1, 0), r) for r in range(4)]
+        assert plan.candidates(9, None) == []
+        assert plan.candidates(1, 9) == []
+        # left-only wildcard
+        assert ((0, 1), 0) in plan.candidates(None, 4)
+
+    def test_q1_all_entries(self):
+        bag = pieces_of(generate_puzzle(2, 1, seed=3))
+        plan = _SearchPlan(bag, 2)
+        # 4 pieces x 4 rotations, less rotations 1..3 of the pinned piece
+        assert len(plan.candidates(0, 0)) == 13
 
     @given(
         sides=st.lists(st.tuples(*[st.integers(0, 4)] * 4), min_size=4, max_size=4),
