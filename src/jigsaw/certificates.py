@@ -20,13 +20,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .core import (
     Assembly,
     GridColoring,
     Label,
     PieceBag,
     canonical_piece,
-    identity_assembly,
     rotate_tuple,
 )
 
@@ -35,6 +36,8 @@ __all__ = [
     "find_rotation_equivalent_pair",
     "find_symmetric_piece",
     "build_swap_witness",
+    "scan",
+    "find_certificate",
     "birthday_upper_bound",
 ]
 
@@ -48,31 +51,97 @@ class RotationPair:
     shift: int
 
 
+# _ROTATIONS[r][d]: the side a piece turned by r shows at world direction d
+_ROTATIONS = np.array([[(d - r) % 4 for d in range(4)] for r in range(4)])
+
+
+def scan(sides: np.ndarray) -> tuple[Optional[tuple[int, int, int]], Optional[int]]:
+    """Both certificate searches over an (N, 4) array of side tuples.
+
+    Returns ``(pair, symmetric)``.  pair is ``(a, b, shift)`` with
+    ``rotate_tuple(sides[a], shift) == sides[b]``: b is the first row
+    whose canonical form (least rotation) an earlier row has, and a is
+    the first row with that form.  symmetric is the first row that
+    turning by 180 degrees leaves unchanged.  Either is None when there
+    is none.
+
+    The pair search reads growing prefixes of the rows, since the first
+    repeat within a prefix is the first repeat overall; when pairs are
+    likely it stops long before the end.
+    """
+    symmetric = np.flatnonzero((sides[:, :2] == sides[:, 2:]).all(axis=1))
+    symmetric = int(symmetric[0]) if symmetric.size else None
+    rows = 1024
+    while True:
+        pair = _first_pair(sides[:rows])
+        if pair is not None or rows >= len(sides):
+            return pair, symmetric
+        rows *= 4
+
+
+def _first_pair(sides: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The pair of scan over all of sides.
+
+    Colours are ranked first, so the lexicographic int64 code of a
+    rotation needs only the number of distinct colours to fit.
+    """
+    count = len(sides)
+    if count == 0:
+        return None
+    ranks = np.unique(sides, return_inverse=True)[1].reshape(count, 4)
+    k = int(ranks.max()) + 1
+    shown = ranks[:, _ROTATIONS]  # (N, 4 rotations, 4 directions)
+    hi = shown[..., 0] * k + shown[..., 1]
+    lo = shown[..., 2] * k + shown[..., 3]
+    if k**4 < 2**63:
+        codes = hi * (k * k) + lo
+    else:  # rank the halves, each below 4N, to keep the order in int64
+        hi = np.unique(hi, return_inverse=True)[1].reshape(count, 4)
+        lo = np.unique(lo, return_inverse=True)[1].reshape(count, 4)
+        codes = hi * (int(lo.max()) + 1) + lo
+    shift = codes.argmin(axis=1)  # the first, i.e. smallest, rotation
+    _, first, inverse = np.unique(codes.min(axis=1), return_index=True, return_inverse=True)
+    first = first[inverse.reshape(-1)]  # first row with each row's canonical form
+    repeats = np.flatnonzero(first != np.arange(count))
+    if not repeats.size:
+        return None
+    b = int(repeats[0])
+    a = int(first[b])
+    return a, b, int(shift[a] - shift[b]) % 4
+
+
+def find_certificate(sides: np.ndarray, n: int) -> Union[RotationPair, Label, None]:
+    """The certificate for an n x n grid whose side_array is sides: its
+    first rotation-equivalent pair, else its first symmetric piece."""
+    pair, symmetric = scan(sides)
+    if pair is not None:
+        a, b, shift = pair
+        return RotationPair(label_a=divmod(a, n), label_b=divmod(b, n), shift=shift)
+    return None if symmetric is None else divmod(symmetric, n)
+
+
+def _bag_scan(bag: PieceBag):
+    return scan(np.array([p.sides for p in bag], dtype=np.int64).reshape(-1, 4))
+
+
 def find_rotation_equivalent_pair(bag: PieceBag) -> Optional[RotationPair]:
     """First pair of distinct pieces equal up to rotation, in bag order.
 
-    Single hash pass over canonical forms, O(len(bag)).  Returns None
-    iff all canonical tuples are distinct.
+    b is the first piece whose canonical form an earlier piece has, and
+    a the first piece with that form.  Returns None iff all canonical
+    tuples are distinct.
     """
-    seen: dict = {}
-    for piece in bag:
-        cp = canonical_piece(piece.sides)
-        prev = seen.get(cp.canon)
-        if prev is not None:
-            label_a, shift_a = prev
-            # rotate(a, shift_a) == canon == rotate(b, shift_b)
-            shift = (shift_a - cp.shift) % 4
-            return RotationPair(label_a=label_a, label_b=piece.label, shift=shift)
-        seen[cp.canon] = (piece.label, cp.shift)
-    return None
+    pair = _bag_scan(bag)[0]
+    if pair is None:
+        return None
+    a, b, shift = pair
+    return RotationPair(label_a=bag[a].label, label_b=bag[b].label, shift=shift)
 
 
 def find_symmetric_piece(bag: PieceBag) -> Optional[Label]:
     """First piece whose tuple has a nontrivial cyclic symmetry."""
-    for piece in bag:
-        if canonical_piece(piece.sides).symmetry_order > 1:
-            return piece.label
-    return None
+    k = _bag_scan(bag)[1]
+    return None if k is None else bag[k].label
 
 
 def build_swap_witness(
@@ -91,8 +160,7 @@ def build_swap_witness(
     n = gc.n
     if n < 2:
         raise ValueError("a 1x1 puzzle has no pairing-changing witness")
-    base = identity_assembly(n)
-    grid = [list(row) for row in base.cells]
+    grid = [[((i, j), 0) for j in range(n)] for i in range(n)]  # the identity
 
     def sides_at(label: Label):
         i, j = label

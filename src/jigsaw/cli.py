@@ -93,60 +93,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    gc = _load_puzzle(args.infile)
-    if gc.n == 1:
+    verdict = solver.decide(_load_puzzle(args.infile), "certificate")
+    cert = verdict.certificate
+    if cert is None:
         print("NONE")
         return 0
-    bag = pieces_of(gc)
-    pair = certificates.find_rotation_equivalent_pair(bag)
-    if pair is not None:
-        witness = certificates.build_swap_witness(gc, pair)
-        print(
-            f"PAIR a={pair.label_a[0]},{pair.label_a[1]}"
-            f" b={pair.label_b[0]},{pair.label_b[1]} shift={pair.shift}"
-        )
-        sys.stdout.write(write_witness(witness))
-        return 0
-    label = certificates.find_symmetric_piece(bag)
-    if label is not None:
-        witness = certificates.build_swap_witness(gc, label)
-        print(f"SYMMETRIC piece={label[0]},{label[1]}")
-        sys.stdout.write(write_witness(witness))
-        return 0
-    print("NONE")
+    if isinstance(cert, certificates.RotationPair):
+        a, b = cert.label_a, cert.label_b
+        print(f"PAIR a={a[0]},{a[1]} b={b[0]},{b[1]} shift={cert.shift}")
+    else:
+        print(f"SYMMETRIC piece={cert[0]},{cert[1]}")
+    sys.stdout.write(write_witness(verdict.witness))
     return 0
 
 
 def _cmd_unique(args) -> int:
-    gc = _load_puzzle(args.infile)
-    witness = None
-    verdict = None
-    detail = ""
-    if args.mode in ("certificate", "auto"):
-        if gc.n == 1:
-            verdict = "unique"
-        else:
-            bag = pieces_of(gc)
-            cert = certificates.find_rotation_equivalent_pair(bag)
-            if cert is None:
-                cert = certificates.find_symmetric_piece(bag)
-            if cert is not None:
-                witness = certificates.build_swap_witness(gc, cert)
-                verdict = "nonunique"
-                detail = "certificate"
-            elif args.mode == "certificate":
-                verdict = "undetermined"
-                detail = "no certificate found"
-    if verdict is None:
-        result = solver.decide_unique(gc, budget=args.budget)
-        verdict, witness, detail = result.kind, result.witness, result.reason
-    line = verdict.upper()
-    if detail:
-        line += f" ({detail})"
+    verdict = solver.decide(_load_puzzle(args.infile), args.mode, args.budget)
+    line = verdict.kind.upper()
+    if verdict.reason:
+        line += f" ({verdict.reason})"
     print(line)
-    if witness is not None and args.witness_out is not None:
-        _write_text(args.witness_out, write_witness(witness))
-    return 3 if verdict == "undetermined" else 0
+    if verdict.witness is not None and args.witness_out is not None:
+        _write_text(args.witness_out, write_witness(verdict.witness))
+    return 3 if verdict.kind == "undetermined" else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -248,7 +217,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("unique", help="decide uniqueness of a puzzle")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=harness.MODES, default="auto")
+    p.add_argument("--mode", choices=solver.MODES, default="auto")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_NODE_BUDGET)
     p.add_argument("--witness-out", default=None)
     p.set_defaults(func=_cmd_unique)
@@ -257,7 +226,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_int_list, required=True, help="e.g. 2,3,4")
     p.add_argument("--q", type=_int_list, required=True, help="e.g. 1,2,4,8")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--mode", choices=harness.MODES, default="exact")
+    p.add_argument("--mode", choices=solver.MODES, default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--workers", type=int, default=1)

@@ -43,6 +43,7 @@ __all__ = [
     "EdgePairing",
     "PuzzleFormatError",
     "generate_puzzle",
+    "side_array",
     "pieces_of",
     "rotate_tuple",
     "canonical_piece",
@@ -205,12 +206,22 @@ def generate_puzzle(n: int, q: int, seed: int) -> GridColoring:
     return GridColoring(n=n, q=q, h=h, v=v)
 
 
+def side_array(gc: GridColoring) -> np.ndarray:
+    """Every piece's side tuple as one (n*n, 4) int64 array.
+
+    Row i*n + j holds (top, right, bottom, left) of the piece at (i, j),
+    so the rows are in label order.
+    """
+    h, v = gc.h, gc.v
+    return np.stack((h[:-1], v[:, 1:], h[1:], v[:, :-1]), axis=-1).reshape(-1, 4)
+
+
 def pieces_of(gc: GridColoring) -> PieceBag:
     """Cut the colouring into labelled pieces, row-major."""
+    n = gc.n
     pieces = tuple(
-        Piece(label=(i, j), sides=gc.piece_sides(i, j))
-        for i in range(gc.n)
-        for j in range(gc.n)
+        Piece(label=divmod(k, n), sides=tuple(sides))
+        for k, sides in enumerate(side_array(gc).tolist())
     )
     return PieceBag(pieces=pieces)
 

@@ -6,11 +6,10 @@ regenerated in isolation and results never depend on execution order.
 Rows come out sorted by (n, q); with record_timings off, the CSV bytes
 are a pure function of the sweep spec, independent of worker count.
 
-Modes: ``exact`` runs the backtracking decision procedure;
-``certificate`` looks only for a rotation-equivalent pair or symmetric
-piece and reports NonUnique on success, Undetermined otherwise (never
-Unique, except n = 1 where rigidity makes every puzzle unique);
-``auto`` tries the certificate first and falls back to exact search.
+Modes are those of ``solver.decide``, which settles every trial:
+``exact`` search, ``certificate`` only (never Unique, except n = 1
+where rigidity makes every puzzle unique), or ``auto``, the certificate
+first with exact search as the fallback.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
-from .certificates import find_rotation_equivalent_pair, find_symmetric_piece, build_swap_witness
-from .core import edge_pairing, generate_puzzle, identity_assembly, pieces_of
-from .solver import DEFAULT_NODE_BUDGET, decide_unique, verify_assembly
+from .core import generate_puzzle
+from .solver import DEFAULT_NODE_BUDGET, MODES, decide
 
 __all__ = [
     "splitmix64",
@@ -32,8 +30,6 @@ __all__ = [
     "rows_to_csv",
     "CSV_HEADER",
 ]
-
-MODES = ("exact", "certificate", "auto")
 
 CSV_HEADER = "n,q,mode,trials,unique,nonunique,undetermined,master_seed,mean_ms"
 
@@ -95,32 +91,8 @@ class SweepRow:
     mean_ms: float
 
 
-def _certificate_verdict(gc) -> str:
-    """'nonunique' when a swap certificate exists and checks out."""
-    if gc.n == 1:
-        return "unique"
-    bag = pieces_of(gc)
-    cert = find_rotation_equivalent_pair(bag)
-    if cert is None:
-        cert = find_symmetric_piece(bag)
-    if cert is None:
-        return "undetermined"
-    witness = build_swap_witness(gc, cert)
-    if not verify_assembly(bag, witness):
-        raise AssertionError("swap witness failed colour verification")
-    if edge_pairing(witness) == edge_pairing(identity_assembly(gc.n)):
-        raise AssertionError("swap witness did not change the edge pairing")
-    return "nonunique"
-
-
 def _run_trial(n: int, q: int, mode: str, seed: int, node_budget: int) -> str:
-    gc = generate_puzzle(n, q, seed)
-    if mode in ("certificate", "auto"):
-        verdict = _certificate_verdict(gc)
-        if mode == "certificate" or verdict != "undetermined":
-            return verdict
-    result = decide_unique(gc, budget=node_budget)
-    return result.kind
+    return decide(generate_puzzle(n, q, seed), mode, node_budget).kind
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:

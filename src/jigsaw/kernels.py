@@ -15,6 +15,9 @@ numba, ``nogil=True`` lets sweep threads overlap searches.
 Inputs come from ``as_backend`` and scratch buffers from ``zeros``:
 int64 arrays for numba, plain ``list``s of Python ints for the Python
 body, which indexes a list several times faster than a numpy array.
+The stored-placement buffer ``sols`` is an int64 array on both: it is
+sized by the caller's limit but only written once per stored placement,
+so its untouched pages cost no memory.
 
 Cell order is data.  Position d of the search fills one grid cell;
 ``top_pos[d]`` and ``left_pos[d]`` give the positions of that cell's top

@@ -16,34 +16,50 @@ rotation of its own orbit, so deciding uniqueness stops at the 2nd
 pinned assembly: the puzzle is unique exactly when the search completes
 with a pinned count of 1, and otherwise the pinned assembly that is not
 the identity is the non-uniqueness witness.
+
+decide is the one decision path for every caller (CLI, sweeps): a 1x1
+puzzle is Unique, then, outside ``exact`` mode, a swap certificate and
+its witness, then decide_unique.  Each NonUnique witness, from a
+certificate or from the search, passes one array check before it is
+returned: its pieces form a permutation, every internal edge shows one
+colour on both sides, and its half-edge pairing, as int codes
+``4 * piece + side``, differs from the identity's.  verify_assembly
+runs the same permutation and colour checks on any bag.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from . import kernels
+import numpy as np
+
+from . import certificates, kernels
 from .core import (
     Assembly,
     GridColoring,
+    Label,
     PieceBag,
-    edge_pairing,
-    identity_assembly,
     pieces_of,
     rotate_assembly,
     rotate_tuple,
+    side_array,
 )
 
 DEFAULT_COUNT_LIMIT = 1_000_000
 DEFAULT_NODE_BUDGET = 50_000_000
 
+MODES = ("exact", "certificate", "auto")
+
 __all__ = [
+    "MODES",
     "ValidCount",
     "count_valid",
     "enumerate_assemblies",
     "UniquenessVerdict",
+    "decide",
     "decide_unique",
     "verify_assembly",
     "write_witness",
@@ -81,6 +97,7 @@ class _SearchPlan:
         self.n = n
         self.pieces = sorted(bag, key=lambda p: p.label)
         self.cells = _square_order(n) if cells is None else list(cells)
+        self.cell_index = np.array([i * n + j for i, j in self.cells], dtype=np.int64)
         pos = {cell: d for d, cell in enumerate(self.cells)}
         top_pos = [pos.get((i - 1, j), -1) for i, j in self.cells]
         left_pos = [pos.get((i, j - 1), -1) for i, j in self.cells]
@@ -142,25 +159,31 @@ class _SearchPlan:
         """Everything kernels.search takes, with fresh scratch buffers."""
         zeros = kernels.zeros
         cells = len(self.cells)
+        # the kernel only writes sols, once per stored placement, so an
+        # untouched numpy buffer costs no memory on either backend
         return self.inputs + (
-            limit, budget, max_store, zeros(max_store * cells),
+            limit, budget, max_store, np.zeros(max_store * cells, dtype=np.int64),
             zeros(len(self.pieces)), zeros(cells), zeros(cells), zeros(cells),
         )
 
     def run(self, limit: int, budget: int, max_store: int):
-        """(status, pinned count, nodes, first stored assemblies)."""
+        """(status, pinned count, nodes, placements).
+
+        Row k of placements is the k-th stored assembly, one orientation
+        ``4 * piece + rotation`` per cell in row-major order.
+        """
         args = self.arguments(limit, budget, max_store)
         status, count, nodes, stored = kernels.search(*args)
-        sols = args[13]  # the flat buffer of stored placements
-        return status, count, nodes, [self._assembly(sols, k) for k in range(stored)]
+        found = args[13][: stored * len(self.cells)].reshape(stored, len(self.cells))
+        placements = np.empty_like(found)
+        placements[:, self.cell_index] = found
+        return status, count, nodes, placements
 
-    def _assembly(self, sols, k: int) -> Assembly:
-        grid = [[None] * self.n for _ in range(self.n)]
-        base = k * len(self.cells)
-        for d, (i, j) in enumerate(self.cells):
-            it = int(sols[base + d])
-            grid[i][j] = (self.pieces[it >> 2].label, it & 3)
-        return Assembly(n=self.n, cells=tuple(tuple(row) for row in grid))
+    def assembly(self, orient: np.ndarray) -> Assembly:
+        """The Assembly of one row of placements."""
+        n = self.n
+        cells = [(self.pieces[it >> 2].label, it & 3) for it in orient.tolist()]
+        return Assembly(n=n, cells=tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +214,10 @@ def enumerate_assemblies(bag: PieceBag, n: int, limit: int = 10_000) -> list[Ass
     rotations right after it.
     """
     pinned = -(-limit // 4)
-    _, _, _, found = _SearchPlan(bag, n).run(limit=pinned, budget=2**62, max_store=pinned)
+    plan = _SearchPlan(bag, n)
     out = []
-    for asm in found:
+    for orient in plan.run(limit=pinned, budget=2**62, max_store=pinned)[3]:
+        asm = plan.assembly(orient)
         for _ in range(4):
             out.append(asm)
             asm = rotate_assembly(asm)
@@ -206,22 +230,54 @@ class UniquenessVerdict:
     witness: Optional[Assembly] = None
     nodes: int = 0
     reason: str = ""
+    certificate: Union[certificates.RotationPair, Label, None] = None
 
     @property
     def is_unique(self) -> bool:
         return self.kind == "unique"
 
 
+def decide(gc: GridColoring, mode: str = "auto", budget: int = DEFAULT_NODE_BUDGET) -> UniquenessVerdict:
+    """The uniqueness verdict of gc in one of MODES.
+
+    ``exact`` runs decide_unique.  ``certificate`` looks only for a
+    rotation-equivalent pair or a symmetric piece and reports NonUnique
+    on success, Undetermined otherwise.  ``auto`` tries the certificate
+    first and falls back to decide_unique.  A 1x1 puzzle is Unique in
+    every mode.  Every NonUnique witness, from a certificate or from the
+    search, has passed the witness check; a failure raises
+    AssertionError.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if gc.n == 1:
+        return UniquenessVerdict(kind="unique")
+    if mode != "exact":
+        sides = side_array(gc)
+        cert = certificates.find_certificate(sides, gc.n)
+        if cert is not None:
+            witness = certificates.build_swap_witness(gc, cert)
+            problem = _witness_problem(sides, _grid_orientations(witness, gc.n), gc.n)
+            if problem is not None:
+                raise AssertionError(f"swap witness {problem}")
+            return UniquenessVerdict(
+                kind="nonunique", witness=witness, reason="certificate", certificate=cert
+            )
+        if mode == "certificate":
+            return UniquenessVerdict(kind="undetermined", reason="no certificate found")
+    return decide_unique(gc, budget=budget)
+
+
 def decide_unique(gc: GridColoring, budget: int = DEFAULT_NODE_BUDGET) -> UniquenessVerdict:
     """Decide whether gc rebuilds only as itself (up to global rotation).
 
-    NonUnique verdicts carry a valid witness assembly whose half-edge
-    pairing differs from the original.  If the node budget runs out the
-    verdict is Undetermined; raising the budget can only turn
-    Undetermined into a definite answer, never flip a definite one.
+    NonUnique verdicts carry a witness assembly that has passed the
+    witness check.  If the node budget runs out the verdict is
+    Undetermined; raising the budget can only turn Undetermined into a
+    definite answer, never flip a definite one.
     """
     plan = _SearchPlan(pieces_of(gc), gc.n)
-    status, count, nodes, found = plan.run(limit=2, budget=budget, max_store=2)
+    status, count, nodes, placements = plan.run(limit=2, budget=budget, max_store=2)
     if status == kernels.STATUS_BUDGET:
         return UniquenessVerdict(
             kind="undetermined",
@@ -232,11 +288,87 @@ def decide_unique(gc: GridColoring, budget: int = DEFAULT_NODE_BUDGET) -> Unique
         return UniquenessVerdict(kind="unique", nodes=nodes)
     # A second pinned assembly exists; at most one of the two is the
     # identity, and the other realises a different pairing.
-    original = edge_pairing(identity_assembly(gc.n))
-    for asm in found:
-        if edge_pairing(asm) != original:
-            return UniquenessVerdict(kind="nonunique", witness=asm, nodes=nodes)
+    sides = side_array(gc)
+    for orient in placements:
+        problem = _witness_problem(sides, orient, gc.n)
+        if problem is None:
+            return UniquenessVerdict(kind="nonunique", witness=plan.assembly(orient), nodes=nodes)
+        if problem != _SAME_PAIRING:
+            raise AssertionError(f"search witness {problem}")
     raise AssertionError("search reported extra assemblies but no distinct pairing")
+
+
+_SAME_PAIRING = "has the identity's edge pairing"
+
+
+def _is_permutation(piece: np.ndarray, count: int) -> bool:
+    """Whether piece, one bag index per cell, uses each of range(count) once."""
+    return len(piece) == count and bool((np.sort(piece) == np.arange(count)).all())
+
+
+@functools.lru_cache(maxsize=8)
+def _internal_edges(n: int) -> tuple:
+    """(a, b, d): every internal edge of the n x n grid joins cell a to
+    cell b, which lies in world direction d (1 right, 2 down) of a."""
+    cell = np.arange(n * n).reshape(n, n)
+    a = np.concatenate((cell[:, :-1].ravel(), cell[:-1].ravel()))
+    b = np.concatenate((cell[:, 1:].ravel(), cell[1:].ravel()))
+    edges = a, b, np.repeat([1, 2], n * (n - 1))
+    for array in edges:  # shared by every caller through the cache
+        array.setflags(write=False)
+    return edges
+
+
+def _touching(orient: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-edges on either side of every internal edge, as codes
+    ``4 * piece + side``, for orientations ``4 * piece + rotation`` in
+    row-major cell order."""
+    a, b, d = _internal_edges(n)
+    # a piece turned by r shows side (d - r) % 4 at direction d, and r = orient % 4
+    oa, ob = orient[a], orient[b]
+    return (oa & ~3) + (d - oa) % 4, (ob & ~3) + (d + 2 - ob) % 4
+
+
+def _witness_problem(sides: np.ndarray, orient: np.ndarray, n: int) -> Optional[str]:
+    """What keeps orient from witnessing non-uniqueness, or None.
+
+    sides is the (n*n, 4) side array; orient holds ``4 * piece +
+    rotation`` per cell, row-major, and a piece of -1 for a label that
+    is not on the grid.  A witness uses every piece once, shows one
+    colour on both sides of every internal edge, and pairs half-edges
+    differently from the identity placement.
+    """
+    count = len(sides)
+    if not _is_permutation(orient >> 2, count):
+        return "does not place every piece once"
+    a, b = _touching(orient, n)
+    mate = np.full(4 * count, -1)  # the half-edge touching each half-edge
+    mate[a] = b
+    mate[b] = a
+    # both pairings have one pair per internal edge, so they are equal
+    # when every pair of the identity's is one of orient's
+    ia, ib = _touching(4 * np.arange(count), n)
+    if (mate[ia] == ib).all():
+        return _SAME_PAIRING
+    colours = sides.ravel()
+    if not np.array_equal(colours[a], colours[b]):
+        return "shows two colours on an internal edge"
+    return None
+
+
+def _grid_orientations(asm: Assembly, n: int) -> np.ndarray:
+    """orient of an assembly of the n x n grid's pieces (labels (i, j)).
+
+    An assembly of another size has too few cells or repeats a piece.
+    """
+    return np.array(
+        [
+            4 * (i * n + j) + r if 0 <= i < n and 0 <= j < n else r - 4
+            for row in asm.cells
+            for (i, j), r in row
+        ],
+        dtype=np.int64,
+    )
 
 
 def verify_assembly(bag: PieceBag, asm: Assembly) -> bool:
@@ -246,29 +378,22 @@ def verify_assembly(bag: PieceBag, asm: Assembly) -> bool:
     show one colour on both sides.  Label mismatches raise ValueError;
     colour mismatches just return False.
     """
-    by_label = bag.by_label()
-    seen = set()
-    for row in asm.cells:
-        for label, _ in row:
-            if label not in by_label:
+    index = {p.label: k for k, p in enumerate(bag)}
+    labels = [label for row in asm.cells for label, _ in row]
+    piece = np.array([index.get(label, -1) for label in labels], dtype=np.int64)
+    if not _is_permutation(piece, len(bag)):
+        seen = set()
+        for label, k in zip(labels, piece.tolist()):
+            if k < 0:
                 raise ValueError(f"assembly uses unknown label {label}")
-            if label in seen:
+            if k in seen:
                 raise ValueError(f"assembly repeats label {label}")
-            seen.add(label)
-    if len(seen) != len(bag):
+            seen.add(k)
         raise ValueError("assembly does not use every piece")
-    n = asm.n
-    shown = [
-        [rotate_tuple(by_label[label].sides, r) for (label, r) in row]
-        for row in asm.cells
-    ]
-    for i in range(n):
-        for j in range(n):
-            if j + 1 < n and shown[i][j][1] != shown[i][j + 1][3]:
-                return False
-            if i + 1 < n and shown[i][j][2] != shown[i + 1][j][0]:
-                return False
-    return True
+    rot = np.array([r for row in asm.cells for _, r in row], dtype=np.int64)
+    a, b = _touching(4 * piece + rot, asm.n)
+    colours = np.array([p.sides for p in bag], dtype=np.int64).reshape(-1)
+    return bool(np.array_equal(colours[a], colours[b]))
 
 
 def write_witness(asm: Assembly) -> str:

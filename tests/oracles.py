@@ -6,7 +6,7 @@ no code with the package's solver.
 
 import itertools
 
-from jigsaw.core import Assembly, PieceBag, rotate_tuple
+from jigsaw.core import Assembly, PieceBag, edge_pairing, identity_assembly, rotate_tuple
 
 
 def brute_force_n2(bag: PieceBag) -> list[Assembly]:
@@ -76,3 +76,66 @@ def brute_force_recursive(bag: PieceBag, n: int, cap: int = 10**6) -> list[Assem
 
     place(0)
     return found
+
+
+def _canonical(t):
+    """(least cyclic shift, smallest rotation reaching it, number of distinct shifts)."""
+    shifts = [rotate_tuple(t, r) for r in range(4)]
+    canon = min(shifts)
+    return canon, shifts.index(canon), len(set(shifts))
+
+
+def rotation_pair_reference(bag: PieceBag):
+    """Per-piece dict scan: (label_a, label_b, shift) of the first piece whose
+    canonical form occurred before, with the first piece that had it."""
+    seen: dict = {}
+    for piece in bag:
+        canon, shift_b, _ = _canonical(piece.sides)
+        if canon in seen:
+            label_a, shift_a = seen[canon]
+            return label_a, piece.label, (shift_a - shift_b) % 4
+        seen[canon] = (piece.label, shift_b)
+    return None
+
+
+def symmetric_piece_reference(bag: PieceBag):
+    """Label of the first piece with fewer than four distinct rotations."""
+    for piece in bag:
+        if _canonical(piece.sides)[2] < 4:
+            return piece.label
+    return None
+
+
+def verify_assembly_reference(bag: PieceBag, asm: Assembly) -> bool:
+    """Label checks in cell order (ValueError), then every internal edge
+    compared on the shown tuples."""
+    by_label = bag.by_label()
+    seen = set()
+    for row in asm.cells:
+        for label, _ in row:
+            if label not in by_label:
+                raise ValueError(f"assembly uses unknown label {label}")
+            if label in seen:
+                raise ValueError(f"assembly repeats label {label}")
+            seen.add(label)
+    if len(seen) != len(bag):
+        raise ValueError("assembly does not use every piece")
+    n = asm.n
+    shown = [[rotate_tuple(by_label[label].sides, r) for label, r in row] for row in asm.cells]
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n and shown[i][j][1] != shown[i][j + 1][3]:
+                return False
+            if i + 1 < n and shown[i][j][2] != shown[i + 1][j][0]:
+                return False
+    return True
+
+
+def is_witness_reference(bag: PieceBag, asm: Assembly) -> bool:
+    """A valid assembly whose frozenset edge pairing differs from the identity's;
+    False, not an exception, for label errors."""
+    try:
+        valid = verify_assembly_reference(bag, asm)
+    except ValueError:
+        return False
+    return valid and edge_pairing(asm) != edge_pairing(identity_assembly(asm.n))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jigsaw.certificates import (
     RotationPair,
     birthday_upper_bound,
     build_swap_witness,
+    find_certificate,
     find_rotation_equivalent_pair,
     find_symmetric_piece,
 )
@@ -22,8 +25,11 @@ from jigsaw.core import (
     identity_assembly,
     pieces_of,
     rotate_tuple,
+    side_array,
 )
 from jigsaw.solver import verify_assembly
+
+from oracles import rotation_pair_reference, symmetric_piece_reference
 
 
 def distinct_bag():
@@ -92,6 +98,78 @@ class TestFinders:
                     (got.label_a, got.label_b) in brute
                     or (got.label_b, got.label_a) in brute
                 )
+
+
+def pair_tuple(pair):
+    return None if pair is None else (pair.label_a, pair.label_b, pair.shift)
+
+
+def assert_scan_matches_reference(bag):
+    assert pair_tuple(find_rotation_equivalent_pair(bag)) == rotation_pair_reference(bag)
+    assert find_symmetric_piece(bag) == symmetric_piece_reference(bag)
+
+
+def bag_of(sides):
+    return PieceBag(pieces=tuple(Piece((k, 0), tuple(map(int, t))) for k, t in enumerate(sides)))
+
+
+class TestScanDifferential:
+    """The numpy scan against the per-piece dict scan it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 20, 100, 10**6])
+    def test_frozen_seeds(self, n, q):
+        for seed in range(4):
+            gc = generate_puzzle(n, q, seed=1000 * n + seed)
+            bag = pieces_of(gc)
+            assert_scan_matches_reference(bag)
+            ref = rotation_pair_reference(bag)
+            if ref is not None:
+                expected = RotationPair(*ref)
+            else:
+                expected = symmetric_piece_reference(bag)
+            assert find_certificate(side_array(gc), n) == expected
+
+    def test_first_pair_beyond_the_first_prefix(self):
+        # the pair search reads growing prefixes; plant the only pairs late
+        rng = np.random.default_rng(5)
+        sides = rng.integers(0, 10**6, size=(5000, 4))
+        sides[4321] = sides[2345][[2, 3, 0, 1]]
+        sides[4999] = sides[10][[1, 2, 3, 0]]
+        assert_scan_matches_reference(bag_of(sides))
+        assert find_rotation_equivalent_pair(bag_of(sides)).label_b == (4321, 0)
+
+    def test_more_colours_than_one_code_holds(self):
+        # over 55,108 distinct colours: a 4-digit code in that base overflows int64
+        rng = np.random.default_rng(6)
+        sides = rng.integers(0, 10**12, size=(15000, 4))
+        sides[14000] = sides[13000][[3, 0, 1, 2]]
+        sides[14500] = sides[9000][[2, 3, 0, 1]]
+        sides[14600, 2:] = sides[14600, :2]
+        assert len(np.unique(sides)) > 55108
+        bag = bag_of(sides)
+        assert_scan_matches_reference(bag)
+        assert find_symmetric_piece(bag) == (14600, 0)
+
+    def test_no_false_pair_when_one_code_would_wrap(self):
+        # 65,559 colours, so colour = rank.  In base k = 65559 the 4-digit
+        # codes of (0, 0, 0, 0) and of B agree modulo 2**64, and every other
+        # rotation of B codes higher: a wrapping int64 code pairs them.
+        k = 65559
+        b = (65467, 3173, 16895, 17605)
+        fill = [tuple((4 * i + d) % k for d in range(4)) for i in range(-(-k // 4))]
+        bag = bag_of([(0, 0, 0, 0), b, *fill])
+        assert find_rotation_equivalent_pair(bag) is None
+        assert_scan_matches_reference(bag)
+
+    @given(
+        sides=st.lists(st.tuples(*[st.integers(-3, 4)] * 4), max_size=12),
+        labels=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=12, max_size=12, unique=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_bags(self, sides, labels):
+        bag = PieceBag(pieces=tuple(Piece(label, t) for label, t in zip(labels, sides)))
+        assert_scan_matches_reference(bag)
 
 
 class TestSwapWitness:

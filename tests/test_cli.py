@@ -1,4 +1,4 @@
-"""End-to-end CLI tests through subprocesses."""
+"""End-to-end CLI tests, through subprocesses and, where a test patches the program, in-process."""
 
 import os
 import subprocess
@@ -6,8 +6,16 @@ import sys
 
 import pytest
 
+from jigsaw import certificates, cli
+from jigsaw.core import identity_assembly
+
 CLI = [sys.executable, "-m", "jigsaw.cli"]
-ENV = dict(os.environ, JIGSAW_DISABLE_NUMBA="1")  # fast interpreter startup
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = dict(
+    os.environ,
+    JIGSAW_DISABLE_NUMBA="1",  # fast interpreter startup
+    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+)
 
 
 def run(*args, **kw):
@@ -195,3 +203,84 @@ class TestSweepCommand:
         )
         assert out.returncode == 0
         assert path.read_text().startswith("n,q,mode")
+
+
+# Puzzles of the tests above, plus one whose only certificate is a
+# symmetric piece, with the bytes `unique` and `certify` printed before
+# the decision path was folded into solver.decide.
+GOLDEN_PUZZLES = {
+    "pair": None,  # the `puzzle` fixture: gen --n 3 --q 2 --seed 42
+    "distinct": "2 12\n0 1\n2 3\n4 5\n6 7 8\n9 10 11\n",
+    "one": "1 1\n0\n0\n0 0\n",
+    "symmetric": "2 12\n0 1\n0 3\n4 5\n6 6 8\n9 10 11\n",
+}
+GOLDEN_UNIQUE = {
+    "pair": ("NONUNIQUE\n", "NONUNIQUE (certificate)\n", "NONUNIQUE (certificate)\n"),
+    "distinct": ("UNIQUE\n", "UNDETERMINED (no certificate found)\n", "UNIQUE\n"),
+    "one": ("UNIQUE\n", "UNIQUE\n", "UNIQUE\n"),
+    "symmetric": ("NONUNIQUE\n", "NONUNIQUE (certificate)\n", "NONUNIQUE (certificate)\n"),
+}
+GOLDEN_CERTIFY = {
+    "pair": "PAIR a=1,1 b=1,2 shift=2\n0,0:0 0,1:0 0,2:0\n1,0:0 1,2:2 1,1:2\n2,0:0 2,1:0 2,2:0\n",
+    "distinct": "NONE\n",
+    "one": "NONE\n",
+    "symmetric": "SYMMETRIC piece=0,0\n0,0:2 0,1:0\n1,0:0 1,1:0\n",
+}
+GOLDEN_EXACT_WITNESS = {
+    "pair": "0,0:0 0,1:0 0,2:0\n1,0:0 1,1:0 1,2:0\n2,0:0 2,1:2 2,2:0\n",
+    "symmetric": "1,1:2 1,0:2\n0,1:2 0,0:0\n",
+}
+
+
+@pytest.fixture(params=sorted(GOLDEN_PUZZLES))
+def golden(request, puzzle, tmp_path):
+    text = GOLDEN_PUZZLES[request.param]
+    if text is None:
+        return request.param, puzzle
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    return request.param, path
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("mode", ["exact", "certificate", "auto"])
+    def test_unique(self, golden, mode, tmp_path):
+        name, path = golden
+        w = tmp_path / "w.txt"
+        out = run("unique", "--in", str(path), "--mode", mode, "--witness-out", str(w))
+        expected = GOLDEN_UNIQUE[name][("exact", "certificate", "auto").index(mode)]
+        assert out.stdout == expected
+        assert out.returncode == (3 if expected.startswith("UNDETERMINED") else 0)
+        assert w.exists() == expected.startswith("NONUNIQUE")
+        if w.exists():
+            certify = GOLDEN_CERTIFY[name].split("\n", 1)[1]
+            assert w.read_text() == (GOLDEN_EXACT_WITNESS[name] if mode == "exact" else certify)
+
+    def test_certify(self, golden):
+        name, path = golden
+        out = run("certify", "--in", str(path))
+        assert (out.returncode, out.stdout) == (0, GOLDEN_CERTIFY[name])
+
+
+class TestWitnessChecked:
+    """A certificate witness that is not one must never be printed."""
+
+    @pytest.mark.parametrize("mode", ["certificate", "auto"])
+    @pytest.mark.parametrize("damage", ["identity", "colour"])
+    def test_unique_rejects_bad_certificate_witness(self, puzzle, mode, damage, monkeypatch, capsys):
+        bad = identity_assembly(3)
+        if damage == "colour":
+            cells = [list(row) for row in bad.cells]
+            cells[1][1] = ((1, 1), 1)  # turned in place: its sides no longer match
+            bad = type(bad)(n=3, cells=tuple(tuple(row) for row in cells))
+        monkeypatch.setattr(certificates, "build_swap_witness", lambda gc, cert: bad)
+        try:
+            cli.main(["unique", "--in", str(puzzle), "--mode", mode])
+        except AssertionError:
+            return
+        assert "NONUNIQUE" not in capsys.readouterr().out
+
+    def test_certify_rejects_bad_certificate_witness(self, puzzle, monkeypatch):
+        monkeypatch.setattr(certificates, "build_swap_witness", lambda gc, cert: identity_assembly(3))
+        with pytest.raises(AssertionError):
+            cli.main(["certify", "--in", str(puzzle)])

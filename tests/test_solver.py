@@ -4,26 +4,32 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jigsaw import kernels
+from jigsaw import certificates, harness, kernels, solver
 from jigsaw.core import (
     Assembly,
+    GridColoring,
     Piece,
     PieceBag,
     edge_pairing,
     generate_puzzle,
     identity_assembly,
     pieces_of,
+    rotate_assembly,
     rotate_tuple,
+    side_array,
 )
 from jigsaw.harness import derive_trial_seed
 from jigsaw.solver import (
+    MODES,
     WitnessFormatError,
     _SearchPlan,
     count_valid,
+    decide,
     decide_unique,
     enumerate_assemblies,
     read_witness,
@@ -32,7 +38,20 @@ from jigsaw.solver import (
 )
 
 
-from oracles import brute_force_n2, brute_force_recursive
+from oracles import (
+    brute_force_n2,
+    brute_force_recursive,
+    is_witness_reference,
+    verify_assembly_reference,
+)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = dict(
+    os.environ,
+    JIGSAW_DISABLE_NUMBA="1",
+    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+)
 
 
 def assembly_key(asm: Assembly):
@@ -284,6 +303,131 @@ class TestVerifyAssembly:
             verify_assembly(pieces_of(gc), Assembly(n=2, cells=cells))
 
 
+def witness_problem(gc, asm):
+    """The array witness check that decide applies, on an Assembly."""
+    return solver._witness_problem(side_array(gc), solver._grid_orientations(asm, gc.n), gc.n)
+
+
+def with_cell(asm, i, j, entry):
+    cells = [list(row) for row in asm.cells]
+    cells[i][j] = entry
+    return Assembly(n=asm.n, cells=tuple(tuple(row) for row in cells))
+
+
+def trial_assemblies(gc):
+    """Valid, colour-broken, repeated-label and unknown-label assemblies of gc."""
+    n = gc.n
+    out = enumerate_assemblies(pieces_of(gc), n, limit=12)
+    ident = identity_assembly(n)
+    out += [ident, rotate_assembly(ident)]
+    for asm in list(out):
+        label, r = asm.cells[0][n - 1]
+        out.append(with_cell(asm, 0, n - 1, (label, (r + 1) % 4)))  # turned in place
+        out.append(with_cell(asm, n - 1, 0, asm.cells[0][0]))  # a repeat
+        out.append(with_cell(asm, n - 1, n - 1, ((n, 0), 0)))  # off the grid
+        out.append(with_cell(asm, 0, 0, ((0, -1), 2)))
+    return out
+
+
+def verify_outcome(fn, bag, asm):
+    try:
+        return fn(bag, asm)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestWitnessCheck:
+    """The array checks against the shown-tuple and frozenset references."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 6])
+    def test_agrees_with_references(self, n, q):
+        kinds = set()
+        for seed in range(3):
+            gc = generate_puzzle(n, q, seed=seed)
+            bag = pieces_of(gc)
+            for asm in trial_assemblies(gc):
+                expected = verify_outcome(verify_assembly_reference, bag, asm)
+                assert verify_outcome(verify_assembly, bag, asm) == expected
+                kinds.add(expected if isinstance(expected, bool) else expected.split()[1])
+                assert (witness_problem(gc, asm) is None) == is_witness_reference(bag, asm)
+        assert {True, "uses", "repeats"} <= kinds
+        assert (False in kinds) == (q > 1)
+
+    def test_verify_on_a_bag_not_in_label_order(self):
+        gc = generate_puzzle(3, 2, seed=4)
+        bag = PieceBag(pieces=tuple(reversed(pieces_of(gc).pieces)))
+        for asm in trial_assemblies(gc):
+            assert verify_outcome(verify_assembly, bag, asm) == verify_outcome(
+                verify_assembly_reference, bag, asm
+            )
+
+    def test_leaving_a_piece_out(self):
+        gc = generate_puzzle(3, 1, seed=0)
+        small = identity_assembly(2)
+        with pytest.raises(ValueError, match="every piece"):
+            verify_assembly(pieces_of(gc), small)
+        assert witness_problem(gc, small) == "does not place every piece once"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_nonunique_verdict_carries_a_checked_witness(self, mode):
+        nonunique = 0
+        for n, q in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 2)):
+            for t in range(4):
+                gc = generate_puzzle(n, q, derive_trial_seed(77, n, q, t))
+                verdict = decide(gc, mode)
+                if verdict.kind == "nonunique":
+                    nonunique += 1
+                    assert is_witness_reference(pieces_of(gc), verdict.witness)
+                    assert (verdict.certificate is not None) == (verdict.reason == "certificate")
+        assert nonunique >= 10
+
+    @pytest.mark.parametrize("mode", ["certificate", "auto"])
+    def test_bad_certificate_witness_raises(self, mode, monkeypatch):
+        gc = generate_puzzle(3, 2, seed=0)
+        assert decide(gc, mode).kind == "nonunique"
+        broken = with_cell(identity_assembly(3), 0, 0, ((0, 0), 1))
+        for bad in (identity_assembly(3), broken):
+            monkeypatch.setattr(certificates, "build_swap_witness", lambda gc, cert, bad=bad: bad)
+            with pytest.raises(AssertionError):
+                decide(gc, mode)
+            with pytest.raises(AssertionError):
+                harness._run_trial(3, 2, mode, 0, 10**6)
+
+    @pytest.mark.parametrize("damage", ["repeat", "identity"])
+    def test_bad_search_witness_raises(self, damage, monkeypatch):
+        gc = generate_puzzle(3, 2, seed=0)
+        assert decide(gc, "exact").kind == "nonunique"
+        real = kernels.search
+        identity = [4 * (i * 3 + j) for i, j in solver._square_order(3)]
+
+        def damaged(*args):
+            status, count, nodes, stored = real(*args)
+            sols = args[13]
+            if damage == "repeat":
+                sols[1] = sols[9 + 1] = sols[0]
+            else:
+                sols[:18] = identity * 2
+            return status, count, nodes, stored
+
+        monkeypatch.setattr(kernels, "search", damaged)
+        with pytest.raises(AssertionError):
+            decide(gc, "exact")
+
+    def test_decide_modes(self):
+        distinct = GridColoring(
+            n=2, q=12, h=np.array([[0, 1], [2, 3], [4, 5]]), v=np.array([[6, 7, 8], [9, 10, 11]])
+        )
+        assert decide(distinct, "exact").kind == "unique"
+        assert decide(distinct, "auto").kind == "unique"
+        verdict = decide(distinct, "certificate")
+        assert (verdict.kind, verdict.reason) == ("undetermined", "no certificate found")
+        for mode in MODES:
+            assert decide(generate_puzzle(1, 1, seed=0), mode).kind == "unique"
+        with pytest.raises(ValueError, match="mode"):
+            decide(distinct, "fast")
+
+
 class TestWitnessFormat:
     def test_round_trip(self):
         gc = generate_puzzle(3, 1, seed=2)
@@ -319,9 +463,29 @@ class TestBackends:
             assert active[:3] == ref[:3]
 
     def test_disable_flag_selects_python(self):
-        env = dict(os.environ, JIGSAW_DISABLE_NUMBA="1")
         out = subprocess.run(
             [sys.executable, "-c", "from jigsaw import kernels; print(kernels.ACTIVE_BACKEND)"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=ENV, check=True,
         )
         assert out.stdout.strip() == "python"
+
+
+def test_enumerate_with_a_huge_limit_stays_small():
+    # the stored-placement buffer is sized by the limit, but only the
+    # assemblies found are ever written to it
+    code = (
+        "import resource\n"
+        "from jigsaw.core import generate_puzzle, pieces_of\n"
+        "from jigsaw.solver import enumerate_assemblies\n"
+        "bag = pieces_of(generate_puzzle(3, 8, 0))\n"
+        "small = enumerate_assemblies(bag, 3, limit=100)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "big = enumerate_assemblies(bag, 3, limit=10**7)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "assert big == small, (len(big), len(small))\n"
+        "print(len(big), grown / 1024)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, check=True)
+    found, grown_mb = out.stdout.split()
+    assert int(found) == 16
+    assert float(grown_mb) < 50
