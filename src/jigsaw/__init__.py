@@ -3,6 +3,8 @@ uniqueness decisions, swap certificates, rearrangement-patch
 probabilities, border corner accounting, and seeded experiment sweeps.
 """
 
+import importlib
+
 from .core import (
     Assembly,
     CanonicalPiece,
@@ -41,30 +43,44 @@ from .certificates import (
     find_rotation_equivalent_pair,
     find_symmetric_piece,
 )
-from .polyomino import (
-    CornerCensus,
-    Polyomino,
-    corner_census,
-    enumerate_fixed_polyominoes,
-    find_holes,
-    find_indentations,
-    side_corner_census,
-    trace_outer_border,
-)
-from .patches import (
-    DependencyOrderError,
-    PatchEdge,
-    PatchSpec,
-    ScaleConstants,
-    build_patch,
-    estimate_validity,
-    exact_monochromatic_probability,
-    hole_probability_bound,
-    monochromatic_probability_bound,
-    scale_constants,
-    swap_pair_patch,
-)
 from .harness import SweepRow, SweepSpec, derive_trial_seed, rows_to_csv, run_sweep
+
+# No decision path uses these two modules, so they load on first use.
+_LAZY = {
+    "polyomino": (
+        "CornerCensus",
+        "Polyomino",
+        "corner_census",
+        "enumerate_fixed_polyominoes",
+        "find_holes",
+        "find_indentations",
+        "side_corner_census",
+        "trace_outer_border",
+    ),
+    "patches": (
+        "DependencyOrderError",
+        "PatchEdge",
+        "PatchSpec",
+        "ScaleConstants",
+        "build_patch",
+        "estimate_validity",
+        "exact_monochromatic_probability",
+        "hole_probability_bound",
+        "monochromatic_probability_bound",
+        "scale_constants",
+        "swap_pair_patch",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __version__ = "0.1.0"
 

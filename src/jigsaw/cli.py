@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import certificates, harness, patches, polyomino, solver
+from . import certificates, harness, solver
 from .core import (
     PuzzleFormatError,
     generate_puzzle,
@@ -134,6 +134,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from . import polyomino
+
     per_size = polyomino.enumerate_fixed_polyominoes(args.enumerate)
     for size in sorted(per_size):
         print(f"size {size}: {len(per_size[size])} fixed polyominoes")
@@ -164,6 +166,9 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_patch(args) -> int:
+    from . import patches
+
+    # an unknown kind raises ValueError naming patches.PATCH_KINDS
     patch = patches.build_patch(
         args.type, ell=args.ell, m=args.m, enclosed_sides=args.sides, tile=args.tile
     )
@@ -229,7 +234,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=solver.MODES, default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads for the trials under numba; the Python kernel runs them serially")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_NODE_BUDGET)
     p.add_argument(
         "--no-timings",
@@ -246,7 +252,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("patch", help="build a rearrangement patch and price it")
-    p.add_argument("--type", required=True, choices=patches.PATCH_KINDS)
+    p.add_argument("--type", required=True, metavar="KIND",
+                   help="one of jigsaw.patches.PATCH_KINDS")
     p.add_argument("--ell", type=int, default=3, help="size knob (see docs)")
     p.add_argument("--m", type=int, default=1, help="source component count")
     p.add_argument("--q", type=int, required=True)

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
+from . import kernels
 from .core import generate_puzzle
 from .solver import DEFAULT_NODE_BUDGET, MODES, decide
 
@@ -98,12 +99,13 @@ def _run_trial(n: int, q: int, mode: str, seed: int, node_budget: int) -> str:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Run every (n, q) cell of the spec; returns rows sorted by (n, q).
 
-    workers > 1 spreads trials over a thread pool.  Searches overlap
-    only under numba, whose compiled kernel releases the GIL; on the
-    Python backend the threads share the interpreter lock and give no
-    speed-up.  Timings are averaged in trial order, so
-    only mean_ms — and nothing else — can differ between runs, and with
-    record_timings=False it is pinned to 0.0.
+    Under numba, workers > 1 spreads trials over a thread pool, whose
+    searches overlap because the compiled kernel releases the GIL.  The
+    Python kernel holds the interpreter lock, so on that backend every
+    trial runs in the calling thread whatever workers says.  Timings
+    are averaged in trial order, so only mean_ms — and nothing else —
+    can differ between runs, and with record_timings=False it is pinned
+    to 0.0.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -121,7 +123,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
         verdict = _run_trial(n, q, spec.mode, seed, spec.node_budget)
         return job, verdict, (perf_counter() - t0) * 1000.0
 
-    if workers == 1:
+    if workers == 1 or kernels.ACTIVE_BACKEND != "numba":
         done = map(work, jobs)
     else:
         pool = ThreadPoolExecutor(max_workers=workers)

@@ -31,12 +31,28 @@ whole first row, n - 1 cells matched on one side, before any other.
 
 Candidates for a position are the orientations (``4 * piece +
 rotation``) whose shown (top, left) colours match the neighbours'
-shown (bottom, right) colours; a missing neighbour is the wildcard
-colour ``width - 1``.  ``keys`` is an open-addressing table of
+shown (bottom, right) colours.  ``keys`` is an open-addressing table of
 ``top * width + left`` keys in ``2**bits`` slots, probed linearly from
 ``home_slot`` (-1 marks an empty slot, and at least one slot is empty);
 slot s holds candidates ``items[los[s]:his[s]]`` in (piece, rotation)
 order.
+
+A border budget prunes the first row and column.  Every internal edge
+joins two sides of one colour, so a colour shows on the border as many
+times, mod 2, as it occurs in the bag, and at most ``slack`` border
+sides show a colour that occurs an even number of times (see
+solver._SearchPlan).  The border cells of the search are those with a
+missing neighbour: the tops of row 0 and the lefts of column 0 face
+out.  ``tcost``/``lcost`` are 1 for an orientation whose top/left
+colour is even, and ``spent[k]`` counts the even sides that the border
+positions before k turned outwards: on entering k, the kernel adds the
+cost of ``chosen[p]`` at ``p = prev_out[k]``, the border position before
+it, to ``spent[p]``.  A missing neighbour then shows one of two
+wildcard colours: ``width - 1`` (any side) while budget is left, and
+``width - 2`` (odd colours only) once ``spent[k]`` reaches ``slack``.
+Cell (0, 0) has its wildcard list cut to the orientations within the
+whole slack.  ``prev_out`` is all -1 when the budget cannot bind, and
+then nothing is charged.  Interior cells never test for a wildcard.
 
 A node is one successful placement.  Statuses: 0 = search space
 exhausted (count is exact), 1 = count reached `limit`, 2 = node budget
@@ -55,19 +71,20 @@ STATUS_BUDGET = 2
 
 
 def _search_impl(items, keys, los, his, bits, width, top_pos, left_pos,
-                 bottoms, rights, limit, budget, max_store, sols,
-                 used, chosen, ptr, end):
+                 bottoms, rights, slack, prev_out, tcost, lcost,
+                 limit, budget, max_store, sols,
+                 used, chosen, ptr, end, spent):
     """Count placements of one piece per position whose touching sides match.
 
     bottoms/rights give each orientation's shown bottom/right colour.
-    used (per piece) and chosen/ptr/end (per position) are zeroed
+    used (per piece) and chosen/ptr/end/spent (per position) are zeroed
     scratch buffers.  The first max_store placements found are copied,
     one row of len(top_pos) orientations each, into the flat sols.
     Returns (status, count, nodes, stored).
     """
     num_cells = len(top_pos)
     last = num_cells - 1
-    wild = width - 1
+    wild = width - 2  # odd colours only; wild + 1 is any colour
     mask = (1 << bits) - 1
     count = 0
     nodes = 0
@@ -78,7 +95,15 @@ def _search_impl(items, keys, los, his, bits, width, top_pos, left_pos,
         # position k was just reached: find its candidate range
         tp = top_pos[k]
         lp = left_pos[k]
-        key = (wild if tp < 0 else bottoms[chosen[tp]]) * width + (wild if lp < 0 else rights[chosen[lp]])
+        if tp >= 0 and lp >= 0:
+            key = bottoms[chosen[tp]] * width + rights[chosen[lp]]
+        else:
+            p = prev_out[k]
+            if p >= 0:
+                c = chosen[p]
+                spent[k] = spent[p] + (tcost[c] if top_pos[p] < 0 else 0) + (lcost[c] if left_pos[p] < 0 else 0)
+            w = wild + 1 if spent[k] < slack else wild
+            key = (w if tp < 0 else bottoms[chosen[tp]]) * width + (w if lp < 0 else rights[chosen[lp]])
         s = ((key * 0x9E3779B1) & 0xFFFFFFFF) >> (32 - bits)  # home_slot, inlined
         while keys[s] != key and keys[s] != -1:
             s = (s + 1) & mask

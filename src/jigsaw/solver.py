@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -81,6 +82,10 @@ def _square_order(n: int) -> list:
     return cells
 
 
+# where arguments() puts the stored-placement buffer
+_SOLS = kernels.search_python.__code__.co_varnames.index("sols")
+
+
 class _SearchPlan:
     """Kernel inputs for a piece bag, with piece 0 pinned to rotation 0.
 
@@ -89,6 +94,14 @@ class _SearchPlan:
     has one slot per (top, left) pair that some orientation shows, plus
     the wildcard pairs of cells with a missing neighbour, so its size
     is linear in the number of pieces.
+
+    slack bounds the border budget of the kernel: with m_c sides of
+    colour c in the bag, every assembly shows colour c on its border a
+    number of times of the parity of m_c, so at least once for each odd
+    m_c, and its 4n border sides show at most ``slack = 4n - #(colours
+    with odd m_c)`` sides of even colours.  The search counts those among
+    the tops of row 0 and the lefts of column 0; when slack >= 2n, all
+    of them fit and nothing is counted.
     """
 
     def __init__(self, bag: PieceBag, n: int, cells: Optional[list] = None):
@@ -106,10 +119,14 @@ class _SearchPlan:
         ):
             raise ValueError("cells must list every grid cell once, after its top and left neighbours")
 
-        self.colors = sorted({c for p in self.pieces for c in p.sides})
+        multiplicity = Counter(c for p in self.pieces for c in p.sides)
+        self.colors = sorted(multiplicity)
+        self.slack = slack = 4 * n - sum(m & 1 for m in multiplicity.values())
         cmap = {c: k for k, c in enumerate(self.colors)}
-        width = len(self.colors) + 1
-        wild = width - 1
+        even = [1 - multiplicity[c] % 2 for c in self.colors]
+        width = len(self.colors) + 2
+        wild = width - 2  # a missing neighbour once the budget is spent; wild + 1 before
+        root = wild + 1 if slack > 0 else wild
         shown = [
             [cmap[c] for c in rotate_tuple(p.sides, r)] for p in self.pieces for r in range(4)
         ]
@@ -117,7 +134,14 @@ class _SearchPlan:
         for it, (t, _, _, l) in enumerate(shown):
             if 0 < it < 4:  # the pin: piece 0 shows only rotation 0
                 continue
-            for key in (t * width + l, t * width + wild, wild * width + l, wild * width + wild):
+            keys = [t * width + l, t * width + wild + 1, (wild + 1) * width + l]
+            if not even[l]:
+                keys.append(t * width + wild)
+            if not even[t]:
+                keys.append(wild * width + l)
+            if even[t] + even[l] <= slack:
+                keys.append(root * width + root)
+            for key in keys:
                 groups.setdefault(key, []).append(it)
         bits = (2 * len(groups)).bit_length()
         mask = (1 << bits) - 1
@@ -134,19 +158,29 @@ class _SearchPlan:
             items.extend(members)
             his[s] = len(items)
 
+        # each border position after the first charges the one before it
+        prev_out = [-1] * len(self.cells)
+        if slack < 2 * n:
+            border = [d for d, (t, l) in enumerate(zip(top_pos, left_pos)) if min(t, l) < 0]
+            for p, d in zip(border, border[1:]):
+                prev_out[d] = p
+
         to = kernels.as_backend
         self.inputs = (
             to(items), to(keys), to(los), to(his), bits, width, to(top_pos), to(left_pos),
             to([sh[2] for sh in shown]), to([sh[1] for sh in shown]),
+            slack, to(prev_out), to([even[sh[0]] for sh in shown]), to([even[sh[3]] for sh in shown]),
         )
 
-    def candidates(self, top, left) -> list:
+    def candidates(self, top, left, room=None) -> list:
         """(label, rotation) of each orientation the kernel tries where the
-        neighbours show colours top and left (None: no neighbour there),
-        in search order."""
+        neighbours show colours top and left (None: no neighbour there)
+        and room of the border budget is left (default slack), in search
+        order.  Cell (0, 0) is always searched with the whole slack."""
         items, keys, los, his, bits, width = self.inputs[:6]
+        room = self.slack if room is None else room
         code = {c: k for k, c in enumerate(self.colors)}
-        code[None] = width - 1
+        code[None] = width - 1 if room > 0 else width - 2
         if top not in code or left not in code:
             return []
         key = code[top] * width + code[left]
@@ -163,7 +197,7 @@ class _SearchPlan:
         # untouched numpy buffer costs no memory on either backend
         return self.inputs + (
             limit, budget, max_store, np.zeros(max_store * cells, dtype=np.int64),
-            zeros(len(self.pieces)), zeros(cells), zeros(cells), zeros(cells),
+            zeros(len(self.pieces)), zeros(cells), zeros(cells), zeros(cells), zeros(cells),
         )
 
     def run(self, limit: int, budget: int, max_store: int):
@@ -174,7 +208,7 @@ class _SearchPlan:
         """
         args = self.arguments(limit, budget, max_store)
         status, count, nodes, stored = kernels.search(*args)
-        found = args[13][: stored * len(self.cells)].reshape(stored, len(self.cells))
+        found = args[_SOLS][: stored * len(self.cells)].reshape(stored, len(self.cells))
         placements = np.empty_like(found)
         placements[:, self.cell_index] = found
         return status, count, nodes, placements

@@ -180,6 +180,37 @@ class TestPatchCommand:
         out = run("patch", "--type", "hole", "--ell", "2", "--q", "3", "--trials", "1000")
         assert "hole_bound=" in out.stdout
 
+    def test_unknown_kind_names_the_valid_ones(self):
+        out = run("patch", "--type", "bogus", "--q", "3")
+        assert out.returncode == 1
+        assert "'bogus'" in out.stderr
+        for kind in ("straightline", "convexcorners", "hole", "indentation", "subsquare", "swappair"):
+            assert kind in out.stderr
+
+
+class TestImports:
+    def test_cli_leaves_patch_modules_unloaded(self):
+        code = "import sys, jigsaw.cli; print(sorted(m for m in sys.modules if m.startswith('jigsaw.')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, check=True)
+        loaded = out.stdout.strip()
+        assert "jigsaw.cli" in loaded
+        assert "jigsaw.patches" not in loaded and "jigsaw.polyomino" not in loaded
+
+    def test_package_names_load_on_use(self):
+        code = (
+            "import jigsaw\n"
+            "from jigsaw import build_patch, corner_census\n"
+            "from jigsaw.patches import build_patch as direct\n"
+            "assert build_patch is direct and corner_census.__module__ == 'jigsaw.polyomino'\n"
+            "assert all(getattr(jigsaw, name) is not None for name in jigsaw.__all__)\n"
+            "try:\n"
+            "    jigsaw.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, check=True)
+        assert out.stdout.strip() == "ok"
+
 
 class TestSweepCommand:
     def test_csv_shape_and_determinism(self, tmp_path):

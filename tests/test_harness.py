@@ -2,6 +2,7 @@
 
 import pytest
 
+from jigsaw import harness, kernels
 from jigsaw.certificates import find_rotation_equivalent_pair, find_symmetric_piece
 from jigsaw.core import generate_puzzle, pieces_of
 from jigsaw.harness import (
@@ -69,6 +70,29 @@ class TestSweep:
         serial = rows_to_csv(run_sweep(self.spec()))
         parallel = rows_to_csv(run_sweep(self.spec(), workers=4))
         assert serial == parallel
+
+    def test_python_backend_runs_in_the_calling_thread(self, monkeypatch):
+        # the Python kernel holds the GIL, so a pool would only add contention
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("thread pool started")
+
+        serial = run_sweep(self.spec())
+        monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "python")
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        assert run_sweep(self.spec(), workers=4) == serial
+
+    def test_numba_backend_uses_the_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("thread pool started")
+
+        spec = self.spec(trials=3)
+        serial = run_sweep(spec)
+        monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "numba")
+        assert run_sweep(spec, workers=4) == serial
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        assert run_sweep(spec) == serial
+        with pytest.raises(RuntimeError, match="thread pool"):
+            run_sweep(spec, workers=4)
 
     def test_duplicate_values_deduped(self):
         rows = run_sweep(self.spec(n_values=(2, 2), q_values=(1,)))

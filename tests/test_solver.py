@@ -1,8 +1,12 @@
 """Solver tests against independent brute-force oracles."""
 
+import hashlib
+import inspect
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,16 +150,144 @@ class TestSearchOrder:
                 _SearchPlan(bag, 2, cells=cells)
 
 
+REFERENCES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "search_references.json")
+
+
+def witness_digest(verdict):
+    if verdict.witness is None:
+        return None
+    return hashlib.sha256(write_witness(verdict.witness).encode()).hexdigest()[:16]
+
+
+def tight_budget_puzzle(n: int) -> GridColoring:
+    """A unique puzzle whose identity spends the whole border budget.
+
+    The tops of row 0 after the corner and the lefts of column 0 after
+    the corner show even colours, in pairs; every other border side
+    shows a colour of its own and every internal edge another.  So the
+    2n - 2 even border sides all face out where the search counts them,
+    and slack = 4n - (2n + 2) is exactly 2n - 2.
+    """
+    h = np.zeros((n + 1, n), dtype=np.int64)
+    v = np.zeros((n, n + 1), dtype=np.int64)
+    colour = iter(range(10**6))
+    for i in range(1, n):
+        h[i] = [next(colour) for _ in range(n)]
+        v[i - 1, 1:n] = [next(colour) for _ in range(n - 1)]
+    v[n - 1, 1:n] = [next(colour) for _ in range(n - 1)]
+    paired = [(0, j) for j in range(1, n)] + [(i, 0) for i in range(1, n)]
+    for k, (i, j) in enumerate(paired):
+        colour_of_pair = 10**6 + k // 2
+        if i == 0:
+            h[0, j] = colour_of_pair
+        else:
+            v[i, 0] = colour_of_pair
+    h[0, 0], v[0, 0] = next(colour), next(colour)
+    h[n] = [next(colour) for _ in range(n)]
+    v[:, n] = [next(colour) for _ in range(n)]
+    return GridColoring(n=n, q=10**6 + n, h=h, v=v)
+
+
+class TestBorderBudget:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_counts_match_frozen_references(self, n):
+        with open(REFERENCES) as fh:
+            ref = json.load(fh)
+        rows = [row for row in ref["counts"] if row[0] == n]
+        assert len(rows) == 17 * 10
+        for _, q, t, count, exact, kind, digest in rows:
+            gc = generate_puzzle(n, q, derive_trial_seed(ref["master"], n, q, t))
+            got = count_valid(pieces_of(gc), n, limit=ref["cap"])
+            verdict = decide_unique(gc)
+            assert (got.count, got.exact, verdict.kind, witness_digest(verdict)) == (count, exact, kind, digest), (q, t)
+
+    def test_decisions_match_frozen_references(self):
+        with open(REFERENCES) as fh:
+            ref = json.load(fh)
+        assert len(ref["decisions"]) == 63
+        for n, q, t, kind, digest in ref["decisions"]:
+            verdict = decide_unique(generate_puzzle(n, q, derive_trial_seed(ref["master"], n, q, t)), ref["budget"])
+            assert (verdict.kind, witness_digest(verdict)) == (kind, digest), (n, q, t)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_oracle_agreement_with_odd_borders(self, n, seed):
+        # internal edges from a few colours; border colours distinct
+        # except for `pairs` pairs, so slack = 2 * pairs, from 0 to 2n
+        rng = np.random.default_rng([n, seed])
+        q_internal = 1 + seed % 3
+        pairs = seed % (n + 1)
+        h = rng.integers(0, q_internal, size=(n + 1, n))
+        v = rng.integers(0, q_internal, size=(n, n + 1))
+        border = 10 + rng.permutation(4 * n)
+        twins = rng.permutation(4 * n)
+        for k in range(pairs):
+            border[twins[2 * k + 1]] = border[twins[2 * k]]
+        h[0], h[n], v[:, 0], v[:, n] = border[:n], border[n:2 * n], border[2 * n:3 * n], border[3 * n:]
+        gc = GridColoring(n=n, q=10 + 4 * n, h=h, v=v)
+        bag = pieces_of(gc)
+        assert _SearchPlan(bag, n).slack == 2 * pairs
+        cap = 200  # a multiple of 4, so an at-least count equals the capped oracle
+        oracle = brute_force_recursive(bag, n, cap=cap)
+        res = count_valid(bag, n, limit=cap)
+        assert res == solver.ValidCount(count=len(oracle), exact=len(oracle) < cap)
+        if res.exact:
+            got = enumerate_assemblies(bag, n, limit=cap)
+            assert sorted(a.cells for a in got) == sorted(a.cells for a in oracle)
+        assert decide_unique(gc).kind == ("unique" if len(oracle) == 4 else "nonunique")
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_budget_prunes_the_unique_regime(self, n):
+        # at q = n^3 nearly every border colour occurs once, the slack is
+        # near 0 and the first row and column take only border pieces;
+        # without the budget these searches took 130-215 nodes per cell
+        for t in range(3):
+            verdict = decide_unique(generate_puzzle(n, n**3, derive_trial_seed(31337, n, n**3, t)))
+            assert verdict.kind == "unique"
+            assert verdict.nodes <= 8 * n * n, (t, verdict.nodes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("order", ["square", "scanline"])
+    def test_identity_that_spends_the_whole_slack(self, n, order):
+        gc = tight_budget_puzzle(n)
+        bag = pieces_of(gc)
+        cells = None if order == "square" else [(i, j) for i in range(n) for j in range(n)]
+        plan = _SearchPlan(bag, n, cells=cells)
+        assert plan.slack == 2 * n - 2
+        status, count, _, placements = plan.run(limit=10, budget=2**62, max_store=10)
+        assert (status, count) == (kernels.STATUS_COMPLETE, 1)
+        assert placements[0].tolist() == [4 * k for k in range(n * n)]
+        assert decide_unique(gc).kind == "unique"
+        assert count_valid(bag, n) == solver.ValidCount(count=4, exact=True)
+        if n <= 3:
+            assert len(brute_force_recursive(bag, n)) == 4
+
+
 class TestCompatIndex:
     @staticmethod
-    def expected(bag, top, left):
+    def expected(bag, top, left, room=None):
         # every orientation showing the pair, except the pinned piece 0
-        # (lowest label) in rotations 1..3
+        # (lowest label) in rotations 1..3, and except what the border
+        # budget rules out: where a neighbour is missing, that side faces
+        # out, and it may show an even colour (one with an even number of
+        # sides in the bag) only while room > 0; cell (0, 0) may turn out
+        # at most slack = 4n - #(odd colours) even sides
+        multiplicity = Counter(c for p in bag for c in p.sides)
+        even = {c for c, m in multiplicity.items() if m % 2 == 0}
+        slack = 4 * 2 - (len(multiplicity) - len(even))
+        room = slack if room is None else room
         out = []
         for k, piece in enumerate(sorted(bag, key=lambda p: p.label)):
             for r in range(1 if k == 0 else 4):
                 shown = rotate_tuple(piece.sides, r)
-                if top in (None, shown[0]) and left in (None, shown[3]):
+                if top not in (None, shown[0]) or left not in (None, shown[3]):
+                    continue
+                facing_out = (top is None and shown[0] in even) + (left is None and shown[3] in even)
+                if top is None and left is None:
+                    fits = facing_out <= slack
+                else:
+                    fits = facing_out == 0 or room > 0
+                if fits:
                     out.append((piece.label, r))
         return out
 
@@ -200,19 +332,50 @@ class TestCompatIndex:
         # 4 pieces x 4 rotations, less rotations 1..3 of the pinned piece
         assert len(plan.candidates(0, 0)) == 13
 
+    def test_slack_zero_border_lists_shrink(self):
+        # 8 border colours once each, 4 internal colours twice each
+        gc = GridColoring(
+            n=2, q=18, h=np.array([[10, 11], [0, 1], [12, 13]]), v=np.array([[14, 2, 15], [16, 3, 17]])
+        )
+        plan = _SearchPlan(pieces_of(gc), 2)
+        assert plan.slack == 0
+        # cell (0, 0) takes only the four corners turned with both odd sides out
+        assert plan.candidates(None, None) == [((0, 0), 0), ((0, 1), 3), ((1, 0), 1), ((1, 1), 2)]
+        assert plan.candidates(None, 2) == [((0, 1), 0)]
+        # rotation 3 of (1, 0) turns the even colours 3 to the top and 0 to the left
+        assert plan.candidates(None, 0) == []
+        assert plan.candidates(None, 0, room=1) == [((1, 0), 3)]
+        assert plan.candidates(3, None) == [((1, 1), 1)]
+        assert plan.candidates(3, None, room=1) == [((1, 0), 3), ((1, 1), 1)]
+        # no side faces out inside the grid
+        assert plan.candidates(1, 3) == plan.candidates(1, 3, room=1) == [((1, 1), 0)]
+
     @given(
         sides=st.lists(st.tuples(*[st.integers(0, 4)] * 4), min_size=4, max_size=4),
         perm=st.permutations(range(4)),
     )
     @example(sides=[(0, 0, 0, 0)] * 4, perm=[0, 1, 2, 3])  # one colour: every entry
+    @example(  # slack 0: every border side odd
+        sides=[(10, 2, 0, 14), (11, 15, 1, 2), (0, 3, 12, 16), (1, 17, 13, 3)], perm=[0, 1, 2, 3]
+    )
+    @example(  # slack 2: two even sides may face out
+        sides=[(10, 2, 0, 10), (11, 15, 1, 2), (0, 3, 12, 16), (1, 17, 13, 3)], perm=[3, 1, 0, 2]
+    )
+    @example(  # slack -2: 10 odd colours, no assembly
+        sides=[(10, 2, 0, 14), (11, 15, 1, 2), (0, 3, 12, 16), (1, 17, 13, 4)], perm=[0, 1, 2, 3]
+    )
     @settings(max_examples=60, deadline=None)
     def test_lookup_matches_definition(self, sides, perm):
         labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
         bag = PieceBag(pieces=tuple(Piece(labels[k], sides[k]) for k in perm))
         plan = _SearchPlan(bag, 2)
-        for top in [None, *range(6)]:
-            for left in [None, *range(6)]:
+        colours = [None, *range(max(max(t) for t in sides) + 2)]
+        for top in colours:
+            for left in colours:
                 assert plan.candidates(top, left) == self.expected(bag, top, left)
+                if (top, left) != (None, None):  # cell (0, 0) always has the whole slack
+                    for room in (0, 1):
+                        assert plan.candidates(top, left, room) == self.expected(bag, top, left, room)
 
 
 class TestDecideUnique:
@@ -403,7 +566,7 @@ class TestWitnessCheck:
 
         def damaged(*args):
             status, count, nodes, stored = real(*args)
-            sols = args[13]
+            sols = args[list(inspect.signature(kernels._search_impl).parameters).index("sols")]
             if damage == "repeat":
                 sols[1] = sols[9 + 1] = sols[0]
             else:
