@@ -8,6 +8,11 @@ cyclic symmetry can be turned in place.  Either move reproduces every
 shown colour while touching different physical half-edges, so the new
 assembly is valid and its pairing differs from the original.
 
+The decision path stays on the (N, 4) side array: scan finds a
+certificate and swap_orientations turns it into witness codes
+``4 * piece + rotation``, which solver.decide checks.
+build_swap_witness is the same witness as an Assembly.
+
 birthday_upper_bound gives the probability that no two pieces on the
 chessboard half of the grid (cells with i+j even, which share no slots)
 get identical tuples; when it is tiny, certificates almost always
@@ -22,19 +27,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (
-    Assembly,
-    GridColoring,
-    Label,
-    PieceBag,
-    canonical_piece,
-    rotate_tuple,
-)
+from .core import ROTATIONS, Assembly, GridColoring, Label, PieceBag, assembly_of, side_array
 
 __all__ = [
     "RotationPair",
     "find_rotation_equivalent_pair",
     "find_symmetric_piece",
+    "swap_orientations",
     "build_swap_witness",
     "scan",
     "find_certificate",
@@ -49,10 +48,6 @@ class RotationPair:
     label_a: Label
     label_b: Label
     shift: int
-
-
-# _ROTATIONS[r][d]: the side a piece turned by r shows at world direction d
-_ROTATIONS = np.array([[(d - r) % 4 for d in range(4)] for r in range(4)])
 
 
 def scan(sides: np.ndarray) -> tuple[Optional[tuple[int, int, int]], Optional[int]]:
@@ -90,7 +85,7 @@ def _first_pair(sides: np.ndarray) -> Optional[tuple[int, int, int]]:
         return None
     ranks = np.unique(sides, return_inverse=True)[1].reshape(count, 4)
     k = int(ranks.max()) + 1
-    shown = ranks[:, _ROTATIONS]  # (N, 4 rotations, 4 directions)
+    shown = ranks[:, ROTATIONS]  # (N, 4 rotations, 4 directions)
     hi = shown[..., 0] * k + shown[..., 1]
     lo = shown[..., 2] * k + shown[..., 3]
     if k**4 < 2**63:
@@ -144,10 +139,11 @@ def find_symmetric_piece(bag: PieceBag) -> Optional[Label]:
     return None if k is None else bag[k].label
 
 
-def build_swap_witness(
-    gc: GridColoring, certificate: Union[RotationPair, Label]
-) -> Assembly:
-    """Turn a certificate into a concrete witness assembly.
+def swap_orientations(
+    sides: np.ndarray, certificate: Union[RotationPair, Label], n: int
+) -> np.ndarray:
+    """The witness of a certificate for an n x n grid whose side_array is
+    sides, as codes ``4 * piece + rotation``, one per row-major cell.
 
     For a RotationPair the two pieces swap cells with compensating
     rotations; for a symmetric piece's label the piece is rotated in
@@ -157,35 +153,40 @@ def build_swap_witness(
     (labels missing, tuples no longer matching) and for 1x1 puzzles,
     where no rearrangement can change the pairing.
     """
-    n = gc.n
     if n < 2:
         raise ValueError("a 1x1 puzzle has no pairing-changing witness")
-    grid = [[((i, j), 0) for j in range(n)] for i in range(n)]  # the identity
+    orient = 4 * np.arange(n * n)  # the identity
 
-    def sides_at(label: Label):
+    def row(label: Label) -> int:
         i, j = label
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"stale certificate: label {label} not on the grid")
-        return gc.piece_sides(i, j)
+        return i * n + j
 
     if isinstance(certificate, RotationPair):
-        a, b, shift = certificate.label_a, certificate.label_b, certificate.shift
+        a, b, shift = row(certificate.label_a), row(certificate.label_b), certificate.shift
         if a == b:
             raise ValueError("stale certificate: pair labels coincide")
-        sides_a, sides_b = sides_at(a), sides_at(b)
-        if rotate_tuple(sides_a, shift) != sides_b:
+        if shift not in range(4) or (sides[a, ROTATIONS[shift]] != sides[b]).any():
             raise ValueError("stale certificate: tuples are not shifts of each other")
-        # b sits at a's cell showing sides_a; a sits at b's cell showing sides_b
-        grid[a[0]][a[1]] = (b, (4 - shift) % 4)
-        grid[b[0]][b[1]] = (a, shift)
+        # b sits at a's cell showing sides[a]; a sits at b's cell showing sides[b]
+        orient[a] = 4 * b + (4 - shift) % 4
+        orient[b] = 4 * a + shift
     else:
-        label = certificate
-        cp = canonical_piece(sides_at(label))
-        if cp.symmetry_order < 2:
-            raise ValueError(f"stale certificate: piece {label} is not symmetric")
-        period = 4 // cp.symmetry_order
-        grid[label[0]][label[1]] = (label, period)
-    return Assembly(n=n, cells=tuple(tuple(row) for row in grid))
+        k = row(certificate)
+        # the symmetry period: the least turn that leaves the piece as it is
+        period = next((r for r in (1, 2) if (sides[k, ROTATIONS[r]] == sides[k]).all()), 0)
+        if not period:
+            raise ValueError(f"stale certificate: piece {certificate} is not symmetric")
+        orient[k] += period
+    return orient
+
+
+def build_swap_witness(
+    gc: GridColoring, certificate: Union[RotationPair, Label]
+) -> Assembly:
+    """The witness of swap_orientations for gc as an Assembly."""
+    return assembly_of(swap_orientations(side_array(gc), certificate, gc.n), gc.n)
 
 
 def birthday_upper_bound(n: int, q: int) -> float:

@@ -113,7 +113,7 @@ def _cmd_unique(args) -> int:
     if verdict.reason:
         line += f" ({verdict.reason})"
     print(line)
-    if verdict.witness is not None and args.witness_out is not None:
+    if args.witness_out is not None and verdict.witness is not None:
         _write_text(args.witness_out, write_witness(verdict.witness))
     return 3 if verdict.kind == "undetermined" else 0
 

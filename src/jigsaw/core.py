@@ -17,7 +17,11 @@ Rotation convention (used everywhere in this package): rotation r in
 colour shown at world direction d (0=up, 1=right, 2=down, 3=left) by a
 piece with side tuple t under rotation r is ``t[(d - r) % 4]``, i.e. the
 shown tuple is ``rotate_tuple(t, r)``.  Equivalently, the physical side
-facing world direction d is side index ``(d - r) % 4``.
+facing world direction d is side index ``ROTATIONS[r][d] = (d - r) % 4``.
+
+Array form: the decision path works on the (n*n, 4) ``side_array`` and
+on codes ``4 * piece + rotation``, one per row-major cell, where piece k
+is row k, label ``divmod(k, n)``; assembly_of turns codes into an Assembly.
 
 Randomness: puzzles are drawn with numpy's PCG64 generator seeded
 directly with the given 64-bit seed; horizontal slots are drawn first
@@ -43,10 +47,12 @@ __all__ = [
     "EdgePairing",
     "PuzzleFormatError",
     "generate_puzzle",
+    "ROTATIONS",
     "side_array",
     "pieces_of",
     "rotate_tuple",
     "canonical_piece",
+    "assembly_of",
     "identity_assembly",
     "rotate_assembly",
     "edge_pairing",
@@ -94,15 +100,6 @@ class GridColoring:
     @property
     def slot_count(self) -> int:
         return 2 * self.n * self.n + 2 * self.n
-
-    def piece_sides(self, i: int, j: int) -> Sides:
-        """Side tuple (top, right, bottom, left) of the piece at (i, j)."""
-        return (
-            int(self.h[i, j]),
-            int(self.v[i, j + 1]),
-            int(self.h[i + 1, j]),
-            int(self.v[i, j]),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridColoring):
@@ -226,6 +223,11 @@ def pieces_of(gc: GridColoring) -> PieceBag:
     return PieceBag(pieces=pieces)
 
 
+# ROTATIONS[r][d]: the side a piece turned by r shows at world direction d;
+# as a numpy index, sides[..., ROTATIONS] gives every rotation's shown tuple
+ROTATIONS = tuple(tuple((d - r) % 4 for d in range(4)) for r in range(4))
+
+
 def rotate_tuple(t: Sides, r: int) -> Sides:
     """Side tuple shown after turning the piece clockwise by 90*r degrees.
 
@@ -234,7 +236,7 @@ def rotate_tuple(t: Sides, r: int) -> Sides:
     """
     if r not in (0, 1, 2, 3):
         raise ValueError(f"rotation must be in 0..3, got {r}")
-    return (t[(0 - r) % 4], t[(1 - r) % 4], t[(2 - r) % 4], t[(3 - r) % 4])
+    return tuple(t[side] for side in ROTATIONS[r])
 
 
 def canonical_piece(t: Sides) -> CanonicalPiece:
@@ -244,6 +246,13 @@ def canonical_piece(t: Sides) -> CanonicalPiece:
     shift = shifts.index(canon)
     symmetry_order = 4 // len(set(shifts))
     return CanonicalPiece(canon=canon, shift=shift, symmetry_order=symmetry_order)
+
+
+def assembly_of(orient, n: int, labels: Optional[list] = None) -> Assembly:
+    """The Assembly that puts orientation ``4 * piece + rotation`` orient[k]
+    at row-major cell k; piece p has label labels[p], by default divmod(p, n)."""
+    cells = [(labels[o >> 2] if labels else divmod(o >> 2, n), o & 3) for o in map(int, orient)]
+    return Assembly(n=n, cells=tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def identity_assembly(n: int) -> Assembly:
@@ -267,11 +276,6 @@ def rotate_assembly(asm: Assembly) -> Assembly:
     return Assembly(n=n, cells=tuple(tuple(row) for row in grid))  # type: ignore[arg-type]
 
 
-def _side_facing(r: int, d: int) -> int:
-    # physical side of a piece rotated by r that faces world direction d
-    return (d - r) % 4
-
-
 def edge_pairing(asm: Assembly) -> EdgePairing:
     """Physical half-edge pairing realised by an assembly.
 
@@ -287,21 +291,21 @@ def edge_pairing(asm: Assembly) -> EdgePairing:
             if j + 1 < n:
                 lab2, r2 = asm.cells[i][j + 1]
                 pairs.add(
-                    frozenset(((label, _side_facing(r, 1)), (lab2, _side_facing(r2, 3))))
+                    frozenset(((label, ROTATIONS[r][1]), (lab2, ROTATIONS[r2][3])))
                 )
             if i + 1 < n:
                 lab3, r3 = asm.cells[i + 1][j]
                 pairs.add(
-                    frozenset(((label, _side_facing(r, 2)), (lab3, _side_facing(r3, 0))))
+                    frozenset(((label, ROTATIONS[r][2]), (lab3, ROTATIONS[r3][0])))
                 )
             if i == 0:
-                singles.add((label, _side_facing(r, 0)))
+                singles.add((label, ROTATIONS[r][0]))
             if i == n - 1:
-                singles.add((label, _side_facing(r, 2)))
+                singles.add((label, ROTATIONS[r][2]))
             if j == 0:
-                singles.add((label, _side_facing(r, 3)))
+                singles.add((label, ROTATIONS[r][3]))
             if j == n - 1:
-                singles.add((label, _side_facing(r, 1)))
+                singles.add((label, ROTATIONS[r][1]))
     return EdgePairing(pairs=frozenset(pairs), singles=frozenset(singles))
 
 

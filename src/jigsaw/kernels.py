@@ -172,14 +172,15 @@ def home_slot(key, bits):
 
 
 def as_backend(values):
-    """values in the form the active kernel indexes fastest."""
+    """A list of ints or an int array in the form the active kernel indexes
+    fastest: an int64 array for numba, a list of Python ints for the
+    Python body.  An array goes through ``tolist``: ``list(array)`` would
+    hold numpy scalars, which the body handles more than twice as slowly."""
     if ACTIVE_BACKEND == "numba":
         return np.asarray(values, dtype=np.int64)
-    return list(values)
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def zeros(size):
     """A zeroed scratch buffer in the form of as_backend."""
-    if ACTIVE_BACKEND == "numba":
-        return np.zeros(size, dtype=np.int64)
-    return [0] * size
+    return as_backend([0] * size)

@@ -17,37 +17,31 @@ pinned assembly: the puzzle is unique exactly when the search completes
 with a pinned count of 1, and otherwise the pinned assembly that is not
 the identity is the non-uniqueness witness.
 
-decide is the one decision path for every caller (CLI, sweeps): a 1x1
-puzzle is Unique, then, outside ``exact`` mode, a swap certificate and
-its witness, then decide_unique.  Each NonUnique witness, from a
-certificate or from the search, passes one array check before it is
-returned: its pieces form a permutation, every internal edge shows one
-colour on both sides, and its half-edge pairing, as int codes
-``4 * piece + side``, differs from the identity's.  verify_assembly
-runs the same permutation and colour checks on any bag.
+decide is the one decision path for every caller (CLI, sweeps), and it
+runs on arrays: the (n*n, 4) side_array and codes ``4 * piece +
+rotation``.  A 1x1 puzzle is Unique, then, outside ``exact`` mode, a
+swap certificate gives witness codes, then decide_unique plans the
+search from the side array.  Each NonUnique witness, from a certificate
+or from the search, passes one array check before it is returned: its
+pieces form a permutation, every internal edge shows one colour on both
+sides, and its half-edge pairing, as int codes ``4 * piece + side``,
+differs from the identity's.  The verdict keeps the checked codes and
+builds an Assembly only when its witness is read.  verify_assembly runs
+the same permutation and colour checks on any bag.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import certificates, kernels
-from .core import (
-    Assembly,
-    GridColoring,
-    Label,
-    PieceBag,
-    pieces_of,
-    rotate_assembly,
-    rotate_tuple,
-    side_array,
-)
+from .core import ROTATIONS, Assembly, GridColoring, Label, PieceBag, assembly_of, rotate_assembly, side_array
 
 DEFAULT_COUNT_LIMIT = 1_000_000
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -87,8 +81,11 @@ _SOLS = kernels.search_python.__code__.co_varnames.index("sols")
 
 
 class _SearchPlan:
-    """Kernel inputs for a piece bag, with piece 0 pinned to rotation 0.
+    """Kernel inputs for an (N, 4) side array in label order, with piece 0
+    pinned to rotation 0.
 
+    labels names the pieces for candidates and assemblies (None: the
+    grid's own, divmod(k, n) for row k); of_bag plans a PieceBag.
     cells is the search order, growing-square by default; every cell's
     top and left neighbours must come before it.  The candidate table
     has one slot per (top, left) pair that some orientation shows, plus
@@ -104,11 +101,13 @@ class _SearchPlan:
     of them fit and nothing is counted.
     """
 
-    def __init__(self, bag: PieceBag, n: int, cells: Optional[list] = None):
-        if len(bag) != n * n:
-            raise ValueError(f"bag has {len(bag)} pieces, expected {n * n}")
+    def __init__(
+        self, sides: np.ndarray, n: int, cells: Optional[list] = None, labels: Optional[list] = None
+    ):
+        if len(sides) != n * n:
+            raise ValueError(f"bag has {len(sides)} pieces, expected {n * n}")
         self.n = n
-        self.pieces = sorted(bag, key=lambda p: p.label)
+        self.labels = labels
         self.cells = _square_order(n) if cells is None else list(cells)
         self.cell_index = np.array([i * n + j for i, j in self.cells], dtype=np.int64)
         pos = {cell: d for d, cell in enumerate(self.cells)}
@@ -119,44 +118,39 @@ class _SearchPlan:
         ):
             raise ValueError("cells must list every grid cell once, after its top and left neighbours")
 
-        multiplicity = Counter(c for p in self.pieces for c in p.sides)
-        self.colors = sorted(multiplicity)
-        self.slack = slack = 4 * n - sum(m & 1 for m in multiplicity.values())
-        cmap = {c: k for k, c in enumerate(self.colors)}
-        even = [1 - multiplicity[c] % 2 for c in self.colors]
-        width = len(self.colors) + 2
+        colors, ranks, multiplicity = np.unique(sides, return_inverse=True, return_counts=True)
+        self.colors = colors.tolist()
+        odd = multiplicity % 2
+        even = 1 - odd
+        self.slack = slack = 4 * n - int(odd.sum())
+        width = len(colors) + 2
         wild = width - 2  # a missing neighbour once the budget is spent; wild + 1 before
         root = wild + 1 if slack > 0 else wild
-        shown = [
-            [cmap[c] for c in rotate_tuple(p.sides, r)] for p in self.pieces for r in range(4)
-        ]
-        groups: dict = {}
-        for it, (t, _, _, l) in enumerate(shown):
-            if 0 < it < 4:  # the pin: piece 0 shows only rotation 0
-                continue
-            keys = [t * width + l, t * width + wild + 1, (wild + 1) * width + l]
-            if not even[l]:
-                keys.append(t * width + wild)
-            if not even[t]:
-                keys.append(wild * width + l)
-            if even[t] + even[l] <= slack:
-                keys.append(root * width + root)
-            for key in keys:
-                groups.setdefault(key, []).append(it)
+        # row 4 * piece + r: the colour ranks that piece shows turned by r
+        top, right, bottom, left = ranks.reshape(-1, 4)[:, ROTATIONS].reshape(-1, 4).T
+        tcost, lcost = even[top], even[left]
+        keys = np.stack((
+            top * width + left, top * width + wild + 1, (wild + 1) * width + left,
+            np.where(lcost, -1, top * width + wild), np.where(tcost, -1, wild * width + left),
+            np.where(tcost + lcost <= slack, root * width + root, -1),
+        ), axis=1)
+        keys[1:4] = -1  # the pin: piece 0 shows only rotation 0
+        # each key's candidates, in (piece, rotation) order
+        keys = keys.ravel()
+        order = np.argsort(keys, kind="stable")
+        order = order[keys[order] >= 0]
+        groups, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
         bits = (2 * len(groups)).bit_length()
         mask = (1 << bits) - 1
         keys = [-1] * (mask + 1)
         los = [0] * (mask + 1)
         his = [0] * (mask + 1)
-        items: list = []
-        for key, members in groups.items():
-            s = kernels.home_slot(key, bits)
+        # int64 products may wrap, but the low 32 bits that home_slot keeps are exact
+        homes = kernels.home_slot(groups, bits)
+        for key, s, lo, count in zip(groups.tolist(), homes.tolist(), starts.tolist(), counts.tolist()):
             while keys[s] != -1:
                 s = (s + 1) & mask
-            keys[s] = key
-            los[s] = len(items)
-            items.extend(members)
-            his[s] = len(items)
+            keys[s], los[s], his[s] = key, lo, lo + count
 
         # each border position after the first charges the one before it
         prev_out = [-1] * len(self.cells)
@@ -167,10 +161,16 @@ class _SearchPlan:
 
         to = kernels.as_backend
         self.inputs = (
-            to(items), to(keys), to(los), to(his), bits, width, to(top_pos), to(left_pos),
-            to([sh[2] for sh in shown]), to([sh[1] for sh in shown]),
-            slack, to(prev_out), to([even[sh[0]] for sh in shown]), to([even[sh[3]] for sh in shown]),
+            to(order // 6), to(keys), to(los), to(his), bits, width, to(top_pos), to(left_pos),
+            to(bottom), to(right), slack, to(prev_out), to(tcost), to(lcost),
         )
+
+    @classmethod
+    def of_bag(cls, bag: PieceBag, n: int, cells: Optional[list] = None) -> "_SearchPlan":
+        """The plan of a bag in any order, its pieces sorted by label."""
+        pieces = sorted(bag, key=lambda p: p.label)
+        sides = np.array([p.sides for p in pieces], dtype=np.int64).reshape(-1, 4)
+        return cls(sides, n, cells, [p.label for p in pieces])
 
     def candidates(self, top, left, room=None) -> list:
         """(label, rotation) of each orientation the kernel tries where the
@@ -187,7 +187,8 @@ class _SearchPlan:
         s = kernels.home_slot(key, bits)
         while keys[s] != key and keys[s] != -1:
             s = (s + 1) % len(keys)
-        return [(self.pieces[int(it) >> 2].label, int(it) & 3) for it in items[los[s]:his[s]]]
+        labels = self.labels or [divmod(k, self.n) for k in range(self.n**2)]
+        return [(labels[it >> 2], it & 3) for it in map(int, items[los[s]:his[s]])]
 
     def arguments(self, limit: int, budget: int, max_store: int) -> tuple:
         """Everything kernels.search takes, with fresh scratch buffers."""
@@ -197,7 +198,7 @@ class _SearchPlan:
         # untouched numpy buffer costs no memory on either backend
         return self.inputs + (
             limit, budget, max_store, np.zeros(max_store * cells, dtype=np.int64),
-            zeros(len(self.pieces)), zeros(cells), zeros(cells), zeros(cells), zeros(cells),
+            zeros(cells), zeros(cells), zeros(cells), zeros(cells), zeros(cells),
         )
 
     def run(self, limit: int, budget: int, max_store: int):
@@ -212,12 +213,6 @@ class _SearchPlan:
         placements = np.empty_like(found)
         placements[:, self.cell_index] = found
         return status, count, nodes, placements
-
-    def assembly(self, orient: np.ndarray) -> Assembly:
-        """The Assembly of one row of placements."""
-        n = self.n
-        cells = [(self.pieces[it >> 2].label, it & 3) for it in orient.tolist()]
-        return Assembly(n=n, cells=tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,7 @@ def count_valid(bag: PieceBag, n: int, limit: int = DEFAULT_COUNT_LIMIT) -> Vali
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    plan = _SearchPlan(bag, n)
+    plan = _SearchPlan.of_bag(bag, n)
     status, count, _, _ = plan.run(limit=-(-limit // 4), budget=2**62, max_store=0)
     return ValidCount(count=4 * count, exact=status == kernels.STATUS_COMPLETE)
 
@@ -248,10 +243,10 @@ def enumerate_assemblies(bag: PieceBag, n: int, limit: int = 10_000) -> list[Ass
     rotations right after it.
     """
     pinned = -(-limit // 4)
-    plan = _SearchPlan(bag, n)
+    plan = _SearchPlan.of_bag(bag, n)
     out = []
     for orient in plan.run(limit=pinned, budget=2**62, max_store=pinned)[3]:
-        asm = plan.assembly(orient)
+        asm = assembly_of(orient, n, plan.labels)
         for _ in range(4):
             out.append(asm)
             asm = rotate_assembly(asm)
@@ -260,11 +255,23 @@ def enumerate_assemblies(bag: PieceBag, n: int, limit: int = 10_000) -> list[Ass
 
 @dataclass(frozen=True)
 class UniquenessVerdict:
+    """A verdict of decide.
+
+    A NonUnique verdict keeps its checked witness as orient, one code
+    ``4 * piece + rotation`` per row-major cell, where piece k is the
+    grid's piece at divmod(k, n).  witness is the same placement as an
+    Assembly, built when it is first read.
+    """
+
     kind: str  # "unique" | "nonunique" | "undetermined"
-    witness: Optional[Assembly] = None
+    orient: Optional[tuple] = None
     nodes: int = 0
     reason: str = ""
     certificate: Union[certificates.RotationPair, Label, None] = None
+
+    @functools.cached_property
+    def witness(self) -> Optional[Assembly]:
+        return None if self.orient is None else assembly_of(self.orient, math.isqrt(len(self.orient)))
 
     @property
     def is_unique(self) -> bool:
@@ -290,12 +297,12 @@ def decide(gc: GridColoring, mode: str = "auto", budget: int = DEFAULT_NODE_BUDG
         sides = side_array(gc)
         cert = certificates.find_certificate(sides, gc.n)
         if cert is not None:
-            witness = certificates.build_swap_witness(gc, cert)
-            problem = _witness_problem(sides, _grid_orientations(witness, gc.n), gc.n)
+            orient = certificates.swap_orientations(sides, cert, gc.n)
+            problem = _witness_problem(sides, orient, gc.n)
             if problem is not None:
                 raise AssertionError(f"swap witness {problem}")
             return UniquenessVerdict(
-                kind="nonunique", witness=witness, reason="certificate", certificate=cert
+                kind="nonunique", orient=tuple(orient.tolist()), reason="certificate", certificate=cert
             )
         if mode == "certificate":
             return UniquenessVerdict(kind="undetermined", reason="no certificate found")
@@ -305,12 +312,13 @@ def decide(gc: GridColoring, mode: str = "auto", budget: int = DEFAULT_NODE_BUDG
 def decide_unique(gc: GridColoring, budget: int = DEFAULT_NODE_BUDGET) -> UniquenessVerdict:
     """Decide whether gc rebuilds only as itself (up to global rotation).
 
-    NonUnique verdicts carry a witness assembly that has passed the
-    witness check.  If the node budget runs out the verdict is
-    Undetermined; raising the budget can only turn Undetermined into a
-    definite answer, never flip a definite one.
+    NonUnique verdicts carry witness codes that have passed the witness
+    check.  If the node budget runs out the verdict is Undetermined;
+    raising the budget can only turn Undetermined into a definite
+    answer, never flip a definite one.
     """
-    plan = _SearchPlan(pieces_of(gc), gc.n)
+    sides = side_array(gc)
+    plan = _SearchPlan(sides, gc.n)
     status, count, nodes, placements = plan.run(limit=2, budget=budget, max_store=2)
     if status == kernels.STATUS_BUDGET:
         return UniquenessVerdict(
@@ -322,11 +330,10 @@ def decide_unique(gc: GridColoring, budget: int = DEFAULT_NODE_BUDGET) -> Unique
         return UniquenessVerdict(kind="unique", nodes=nodes)
     # A second pinned assembly exists; at most one of the two is the
     # identity, and the other realises a different pairing.
-    sides = side_array(gc)
     for orient in placements:
         problem = _witness_problem(sides, orient, gc.n)
         if problem is None:
-            return UniquenessVerdict(kind="nonunique", witness=plan.assembly(orient), nodes=nodes)
+            return UniquenessVerdict(kind="nonunique", orient=tuple(orient.tolist()), nodes=nodes)
         if problem != _SAME_PAIRING:
             raise AssertionError(f"search witness {problem}")
     raise AssertionError("search reported extra assemblies but no distinct pairing")
@@ -367,10 +374,11 @@ def _witness_problem(sides: np.ndarray, orient: np.ndarray, n: int) -> Optional[
     """What keeps orient from witnessing non-uniqueness, or None.
 
     sides is the (n*n, 4) side array; orient holds ``4 * piece +
-    rotation`` per cell, row-major, and a piece of -1 for a label that
-    is not on the grid.  A witness uses every piece once, shows one
-    colour on both sides of every internal edge, and pairs half-edges
-    differently from the identity placement.
+    rotation`` per cell, row-major, as swap_orientations and the search
+    give it, and a negative code for a piece that is not on the grid.
+    A witness uses every piece once, shows one colour on both sides of
+    every internal edge, and pairs half-edges differently from the
+    identity placement.
     """
     count = len(sides)
     if not _is_permutation(orient >> 2, count):
@@ -388,21 +396,6 @@ def _witness_problem(sides: np.ndarray, orient: np.ndarray, n: int) -> Optional[
     if not np.array_equal(colours[a], colours[b]):
         return "shows two colours on an internal edge"
     return None
-
-
-def _grid_orientations(asm: Assembly, n: int) -> np.ndarray:
-    """orient of an assembly of the n x n grid's pieces (labels (i, j)).
-
-    An assembly of another size has too few cells or repeats a piece.
-    """
-    return np.array(
-        [
-            4 * (i * n + j) + r if 0 <= i < n and 0 <= j < n else r - 4
-            for row in asm.cells
-            for (i, j), r in row
-        ],
-        dtype=np.int64,
-    )
 
 
 def verify_assembly(bag: PieceBag, asm: Assembly) -> bool:

@@ -5,6 +5,9 @@ no code with the package's solver.
 """
 
 import itertools
+from collections import Counter
+
+import numpy as np
 
 from jigsaw.core import Assembly, PieceBag, edge_pairing, identity_assembly, rotate_tuple
 
@@ -139,3 +142,57 @@ def is_witness_reference(bag: PieceBag, asm: Assembly) -> bool:
     except ValueError:
         return False
     return valid and edge_pairing(asm) != edge_pairing(identity_assembly(asm.n))
+
+
+def grid_orientations(asm: Assembly, n: int) -> np.ndarray:
+    """The codes ``4 * piece + rotation`` of an assembly of the n x n grid's
+    pieces, piece k being the one labelled divmod(k, n); a label off the grid
+    gives piece -1.  An assembly of another size has too few cells or
+    repeats a piece."""
+    return np.array(
+        [
+            4 * (i * n + j) + r if 0 <= i < n and 0 <= j < n else r - 4
+            for row in asm.cells
+            for (i, j), r in row
+        ],
+        dtype=np.int64,
+    )
+
+
+def plan_reference(sides, n: int):
+    """The search plan's table contents by dict grouping, as built before
+    the plan ran on arrays: ``(slack, width, groups, columns)``.
+
+    sides is an (N, 4) side array in label order.  groups maps each table
+    key to its candidates ``4 * piece + rotation`` in (piece, rotation)
+    order; columns are the kernel's per-orientation bottoms, rights,
+    tcost and lcost.
+    """
+    tuples = [tuple(t) for t in np.asarray(sides).tolist()]
+    multiplicity = Counter(c for t in tuples for c in t)
+    colors = sorted(multiplicity)
+    slack = 4 * n - sum(m & 1 for m in multiplicity.values())
+    cmap = {c: k for k, c in enumerate(colors)}
+    even = [1 - multiplicity[c] % 2 for c in colors]
+    width = len(colors) + 2
+    wild = width - 2
+    root = wild + 1 if slack > 0 else wild
+    shown = [[cmap[c] for c in rotate_tuple(t, r)] for t in tuples for r in range(4)]
+    groups: dict = {}
+    for it, (t, _, _, l) in enumerate(shown):
+        if 0 < it < 4:  # the pin: piece 0 shows only rotation 0
+            continue
+        keys = [t * width + l, t * width + wild + 1, (wild + 1) * width + l]
+        if not even[l]:
+            keys.append(t * width + wild)
+        if not even[t]:
+            keys.append(wild * width + l)
+        if even[t] + even[l] <= slack:
+            keys.append(root * width + root)
+        for key in keys:
+            groups.setdefault(key, []).append(it)
+    columns = (
+        [sh[2] for sh in shown], [sh[1] for sh in shown],
+        [even[sh[0]] for sh in shown], [even[sh[3]] for sh in shown],
+    )
+    return slack, width, groups, columns

@@ -209,6 +209,17 @@ class TestSwapWitness:
         lab, r = w.cells[i][j]
         assert lab == label and r != 0
 
+    @pytest.mark.parametrize("left,period", [(3, 1), (4, 2)])
+    def test_symmetric_witness_turns_by_the_period(self, left, period):
+        # piece (0, 0) reads (3, left, 3, left): one colour all round turns
+        # by a quarter, two colours by a half
+        h = np.array([[3, 10], [3, 11], [12, 13]])
+        v = np.array([[left, left, 14], [15, 16, 17]])
+        gc = GridColoring(n=2, q=18, h=h, v=v)
+        w = build_swap_witness(gc, (0, 0))
+        assert w.cells[0][0] == ((0, 0), period)
+        assert verify_assembly(pieces_of(gc), w)
+
     def test_rejects_n1(self):
         gc = generate_puzzle(1, 1, seed=0)
         with pytest.raises(ValueError, match="1x1"):
@@ -228,6 +239,10 @@ class TestSwapWitness:
         if rotate_tuple(a, 1) != b:
             with pytest.raises(ValueError):
                 build_swap_witness(gc, pair)
+        # one colour: every shift matches, but only 0..3 are rotations
+        for shift in (-1, 4):
+            with pytest.raises(ValueError, match="not shifts"):
+                build_swap_witness(generate_puzzle(2, 1, seed=0), RotationPair((0, 0), (1, 1), shift=shift))
 
     def test_rejects_coinciding_labels(self):
         gc = generate_puzzle(2, 1, seed=0)

@@ -4,10 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jigsaw import certificates, cli
-from jigsaw.core import identity_assembly
 
 CLI = [sys.executable, "-m", "jigsaw.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -299,12 +299,10 @@ class TestWitnessChecked:
     @pytest.mark.parametrize("mode", ["certificate", "auto"])
     @pytest.mark.parametrize("damage", ["identity", "colour"])
     def test_unique_rejects_bad_certificate_witness(self, puzzle, mode, damage, monkeypatch, capsys):
-        bad = identity_assembly(3)
+        bad = 4 * np.arange(9)  # the identity
         if damage == "colour":
-            cells = [list(row) for row in bad.cells]
-            cells[1][1] = ((1, 1), 1)  # turned in place: its sides no longer match
-            bad = type(bad)(n=3, cells=tuple(tuple(row) for row in cells))
-        monkeypatch.setattr(certificates, "build_swap_witness", lambda gc, cert: bad)
+            bad[4] += 1  # (1, 1) turned in place: its sides no longer match
+        monkeypatch.setattr(certificates, "swap_orientations", lambda sides, cert, n: bad)
         try:
             cli.main(["unique", "--in", str(puzzle), "--mode", mode])
         except AssertionError:
@@ -312,6 +310,6 @@ class TestWitnessChecked:
         assert "NONUNIQUE" not in capsys.readouterr().out
 
     def test_certify_rejects_bad_certificate_witness(self, puzzle, monkeypatch):
-        monkeypatch.setattr(certificates, "build_swap_witness", lambda gc, cert: identity_assembly(3))
+        monkeypatch.setattr(certificates, "swap_orientations", lambda sides, cert, n: 4 * np.arange(9))
         with pytest.raises(AssertionError):
             cli.main(["certify", "--in", str(puzzle)])

@@ -1,5 +1,6 @@
 """Solver tests against independent brute-force oracles."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jigsaw import certificates, harness, kernels, solver
+from jigsaw import certificates, core, harness, kernels, solver
 from jigsaw.core import (
     Assembly,
     GridColoring,
@@ -45,7 +46,9 @@ from jigsaw.solver import (
 from oracles import (
     brute_force_n2,
     brute_force_recursive,
+    grid_orientations,
     is_witness_reference,
+    plan_reference,
     verify_assembly_reference,
 )
 
@@ -138,7 +141,7 @@ class TestSearchOrder:
         for q in (1, 2, 4, 8, 16, 32, 64):
             for t in range(200):
                 gc = generate_puzzle(n, q, derive_trial_seed(31337, n, q, t))
-                plan = _SearchPlan(pieces_of(gc), n, cells=scanline)
+                plan = _SearchPlan.of_bag(pieces_of(gc), n, cells=scanline)
                 status, count, _, _ = plan.run(limit=2, budget=2**62, max_store=0)
                 unique = status == kernels.STATUS_COMPLETE and count == 1
                 assert decide_unique(gc).kind == ("unique" if unique else "nonunique"), (q, t)
@@ -147,7 +150,7 @@ class TestSearchOrder:
         bag = pieces_of(generate_puzzle(2, 2, seed=0))
         for cells in ([(1, 1), (0, 0), (0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0), (0, 0)]):
             with pytest.raises(ValueError, match="every grid cell once"):
-                _SearchPlan(bag, 2, cells=cells)
+                _SearchPlan.of_bag(bag, 2, cells=cells)
 
 
 REFERENCES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "search_references.json")
@@ -226,7 +229,7 @@ class TestBorderBudget:
         h[0], h[n], v[:, 0], v[:, n] = border[:n], border[n:2 * n], border[2 * n:3 * n], border[3 * n:]
         gc = GridColoring(n=n, q=10 + 4 * n, h=h, v=v)
         bag = pieces_of(gc)
-        assert _SearchPlan(bag, n).slack == 2 * pairs
+        assert _SearchPlan.of_bag(bag, n).slack == 2 * pairs
         cap = 200  # a multiple of 4, so an at-least count equals the capped oracle
         oracle = brute_force_recursive(bag, n, cap=cap)
         res = count_valid(bag, n, limit=cap)
@@ -252,7 +255,7 @@ class TestBorderBudget:
         gc = tight_budget_puzzle(n)
         bag = pieces_of(gc)
         cells = None if order == "square" else [(i, j) for i in range(n) for j in range(n)]
-        plan = _SearchPlan(bag, n, cells=cells)
+        plan = _SearchPlan.of_bag(bag, n, cells=cells)
         assert plan.slack == 2 * n - 2
         status, count, _, placements = plan.run(limit=10, budget=2**62, max_store=10)
         assert (status, count) == (kernels.STATUS_COMPLETE, 1)
@@ -300,7 +303,7 @@ class TestCompatIndex:
                 Piece((1, 1), (7, 7, 7, 7)),
             )
         )
-        plan = _SearchPlan(bag, 2)
+        plan = _SearchPlan.of_bag(bag, 2)
         # show top=3 and left=2: rotate (1,2,3,4) so side 2 faces up and
         # side 1 faces left -> rotation 2
         assert plan.candidates(3, 2) == [((0, 1), 2)]
@@ -317,7 +320,7 @@ class TestCompatIndex:
                 Piece((1, 1), (7, 7, 7, 7)),
             )
         )
-        plan = _SearchPlan(bag, 2)
+        plan = _SearchPlan.of_bag(bag, 2)
         # no constraint: the pinned piece once, the other three in 4 rotations
         assert len(plan.candidates(None, None)) == 13
         assert plan.candidates(6, None) == [((1, 0), r) for r in range(4)]
@@ -328,7 +331,7 @@ class TestCompatIndex:
 
     def test_q1_all_entries(self):
         bag = pieces_of(generate_puzzle(2, 1, seed=3))
-        plan = _SearchPlan(bag, 2)
+        plan = _SearchPlan.of_bag(bag, 2)
         # 4 pieces x 4 rotations, less rotations 1..3 of the pinned piece
         assert len(plan.candidates(0, 0)) == 13
 
@@ -337,8 +340,10 @@ class TestCompatIndex:
         gc = GridColoring(
             n=2, q=18, h=np.array([[10, 11], [0, 1], [12, 13]]), v=np.array([[14, 2, 15], [16, 3, 17]])
         )
-        plan = _SearchPlan(pieces_of(gc), 2)
+        plan = _SearchPlan.of_bag(pieces_of(gc), 2)
         assert plan.slack == 0
+        # a plan of the side array names the grid's pieces by default
+        assert _SearchPlan(side_array(gc), 2).candidates(None, None) == plan.candidates(None, None)
         # cell (0, 0) takes only the four corners turned with both odd sides out
         assert plan.candidates(None, None) == [((0, 0), 0), ((0, 1), 3), ((1, 0), 1), ((1, 1), 2)]
         assert plan.candidates(None, 2) == [((0, 1), 0)]
@@ -368,7 +373,7 @@ class TestCompatIndex:
     def test_lookup_matches_definition(self, sides, perm):
         labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
         bag = PieceBag(pieces=tuple(Piece(labels[k], sides[k]) for k in perm))
-        plan = _SearchPlan(bag, 2)
+        plan = _SearchPlan.of_bag(bag, 2)
         colours = [None, *range(max(max(t) for t in sides) + 2)]
         for top in colours:
             for left in colours:
@@ -468,7 +473,7 @@ class TestVerifyAssembly:
 
 def witness_problem(gc, asm):
     """The array witness check that decide applies, on an Assembly."""
-    return solver._witness_problem(side_array(gc), solver._grid_orientations(asm, gc.n), gc.n)
+    return solver._witness_problem(side_array(gc), grid_orientations(asm, gc.n), gc.n)
 
 
 def with_cell(asm, i, j, entry):
@@ -549,9 +554,11 @@ class TestWitnessCheck:
     def test_bad_certificate_witness_raises(self, mode, monkeypatch):
         gc = generate_puzzle(3, 2, seed=0)
         assert decide(gc, mode).kind == "nonunique"
-        broken = with_cell(identity_assembly(3), 0, 0, ((0, 0), 1))
-        for bad in (identity_assembly(3), broken):
-            monkeypatch.setattr(certificates, "build_swap_witness", lambda gc, cert, bad=bad: bad)
+        identity = 4 * np.arange(9)
+        broken = identity.copy()
+        broken[0] += 1  # (0, 0) turned in place
+        for bad in (identity, broken):
+            monkeypatch.setattr(certificates, "swap_orientations", lambda sides, cert, n, bad=bad: bad)
             with pytest.raises(AssertionError):
                 decide(gc, mode)
             with pytest.raises(AssertionError):
@@ -616,11 +623,115 @@ class TestWitnessFormat:
         assert fragment in str(exc.value)
 
 
+def reference_table(groups):
+    """items, keys, los, his and bits of groups in an open-addressing
+    table filled in the dict's insertion order."""
+    bits = (2 * len(groups)).bit_length()
+    mask = (1 << bits) - 1
+    keys, los, his, items = [-1] * (mask + 1), [0] * (mask + 1), [0] * (mask + 1), []
+    for key, members in groups.items():
+        s = kernels.home_slot(key, bits)
+        while keys[s] != -1:
+            s = (s + 1) & mask
+        keys[s], los[s] = key, len(items)
+        items.extend(members)
+        his[s] = len(items)
+    return items, keys, los, his, bits
+
+
+class TestPlanAgainstReference:
+    """The array-built plan against the dict grouping of tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 20])
+    def test_tables_and_kernel_runs_match(self, n):
+        for q in sorted({1, 2, 3, 4, 8, n, 2 * n, n**2, n**3, 1000}):
+            for t in range(3):
+                sides = side_array(generate_puzzle(n, q, derive_trial_seed(4242, n, q, t)))
+                plan = _SearchPlan(sides, n)
+                slack, width, groups, columns = plan_reference(sides, n)
+                items, keys, los, his, _, got_width = plan.inputs[:6]
+                assert (plan.slack, got_width) == (slack, width)
+                table = {k: list(items[lo:hi]) for k, lo, hi in zip(keys, los, his) if k != -1}
+                assert table == groups, (n, q, t)
+                inputs = plan.inputs
+                assert [list(inputs[k]) for k in (8, 9, 12, 13)] == list(columns)
+                reference = (
+                    *reference_table(groups), width, *inputs[6:8], *columns[:2], slack, inputs[11], *columns[2:],
+                )
+                runs = []
+                for kernel_inputs in (inputs, reference):
+                    args = kernel_inputs + plan.arguments(limit=2, budget=5_000, max_store=2)[14:]
+                    result = kernels.search_python(*args)
+                    runs.append((result, list(args[_SOLS_ARG][: result[3] * n * n])))
+                assert runs[0] == runs[1], (n, q, t)
+
+    def test_home_slots_of_an_array_match_past_int64_wrap(self):
+        # the plan hashes its keys as one int64 array; above about 59,000
+        # colours the products wrap, which must not move a key's home slot
+        keys = [0, 1, 12_345, 2**32 + 7, 90_002**2 - 1, 2**40 + 3]
+        for bits in (1, 9, 13, 20):
+            assert kernels.home_slot(np.array(keys), bits).tolist() == [kernels.home_slot(k, bits) for k in keys]
+
+    def test_python_backend_gets_lists_of_python_ints(self, monkeypatch):
+        # list(array) would hand the kernel numpy scalars, which it runs
+        # more than twice as slowly
+        monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "python")
+        plan = _SearchPlan(side_array(generate_puzzle(16, 12, seed=5)), 16)
+        sequences = [x for x in plan.inputs if type(x) is not int]
+        assert len(sequences) == 11
+        for seq in sequences:
+            assert type(seq) is list and all(type(v) is int for v in seq)
+
+
+_SOLS_ARG = list(inspect.signature(kernels._search_impl).parameters).index("sols")
+
+
+class TestWitnessOnRead:
+    """Verdicts keep orient codes; the Assembly is built only when read."""
+
+    def test_no_decision_builds_an_assembly(self, monkeypatch):
+        spec = {m: harness.SweepSpec(n_values=(2, 3), q_values=(1, 2, 4, 9), trials=3, mode=m) for m in MODES}
+        puzzles = [generate_puzzle(n, q, derive_trial_seed(5, n, q, t)) for n in (2, 3, 4) for q in (1, 2, 3, 16) for t in range(2)]
+        expected = (
+            {m: harness.run_sweep(spec[m]) for m in ("exact", "certificate")},
+            [decide(gc, m).kind for gc in puzzles for m in MODES],
+        )
+        assert "nonunique" in expected[1] and "unique" in expected[1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an Assembly was built")
+
+        for module in (core, solver, certificates):
+            monkeypatch.setattr(module, "assembly_of", refuse)
+        got = (
+            {m: harness.run_sweep(spec[m]) for m in ("exact", "certificate")},
+            [decide(gc, m).kind for gc in puzzles for m in MODES],
+        )
+        assert got == expected
+
+    def test_witness_is_built_once_and_matches_the_certificate(self):
+        gc = generate_puzzle(6, 3, seed=1)
+        verdict = decide(gc, "certificate")
+        assert verdict.kind == "nonunique"
+        assert verdict.witness is verdict.witness
+        assert verdict.witness == certificates.build_swap_witness(gc, verdict.certificate)
+        assert decide(gc, "exact").witness is not None
+        assert decide(generate_puzzle(1, 1, seed=0)).witness is None
+
+    def test_verdicts_with_different_witnesses_differ(self):
+        gc = generate_puzzle(3, 2, seed=0)
+        search, cert = decide(gc, "exact"), decide(gc, "certificate")
+        assert search.witness != cert.witness
+        assert dataclasses.replace(search, orient=cert.orient) != search
+        same = dataclasses.replace(cert, orient=search.orient, reason="", certificate=None, nodes=search.nodes)
+        assert (same, hash(same)) == (search, hash(search))
+
+
 class TestBackends:
     def test_python_matches_active_backend(self):
         for seed in range(15):
             gc = generate_puzzle(2, seed % 3 + 1, seed=seed)
-            plan = _SearchPlan(pieces_of(gc), 2)
+            plan = _SearchPlan.of_bag(pieces_of(gc), 2)
             active = plan.run(limit=10**6, budget=2**62, max_store=0)
             ref = kernels.search_python(*plan.arguments(limit=10**6, budget=2**62, max_store=0))
             assert active[:3] == ref[:3]
