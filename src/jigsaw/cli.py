@@ -235,7 +235,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for the trials under numba; the Python kernel runs them serially")
+                   help="threads for the trials on the C kernel; the Python kernel runs them serially")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_NODE_BUDGET)
     p.add_argument(
         "--no-timings",

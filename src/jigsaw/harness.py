@@ -99,13 +99,19 @@ def _run_trial(n: int, q: int, mode: str, seed: int, node_budget: int) -> str:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Run every (n, q) cell of the spec; returns rows sorted by (n, q).
 
-    Under numba, workers > 1 spreads trials over a thread pool, whose
-    searches overlap because the compiled kernel releases the GIL.  The
-    Python kernel holds the interpreter lock, so on that backend every
-    trial runs in the calling thread whatever workers says.  Timings
-    are averaged in trial order, so only mean_ms — and nothing else —
-    can differ between runs, and with record_timings=False it is pinned
-    to 0.0.
+    On the C kernel, workers > 1 spreads trials over a thread pool, whose
+    searches overlap because ctypes releases the interpreter lock during
+    the call.  That pays where searches are long: on a 2-core VM, with
+    the C kernel on both sides, four workers took an exact n = 5..6 sweep
+    at q = 5..12 (4 trials per cell, 2M-node budget) from 0.64-0.67 s to
+    0.36-0.68 s, while an exact n = 4 sweep of sub-millisecond trials
+    went from 0.11-0.13 s to 0.17-0.24 s, as the hand-offs of the lock
+    cost more than the overlap saves.
+    The Python kernel holds the lock, so on that backend every trial
+    runs in the calling thread whatever workers says.  Timings are
+    averaged in trial order, so only mean_ms — and nothing else — can
+    differ between runs, and with record_timings=False it is pinned to
+    0.0.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -123,7 +129,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
         verdict = _run_trial(n, q, spec.mode, seed, spec.node_budget)
         return job, verdict, (perf_counter() - t0) * 1000.0
 
-    if workers == 1 or kernels.ACTIVE_BACKEND != "numba":
+    if workers == 1 or kernels.ACTIVE_BACKEND == "python":
         done = map(work, jobs)
     else:
         pool = ThreadPoolExecutor(max_workers=workers)

@@ -67,13 +67,74 @@ class WitnessFormatError(ValueError):
     """Raised when witness text does not parse."""
 
 
-def _square_order(n: int) -> list:
+@functools.lru_cache(maxsize=16)
+def _square_order(n: int) -> tuple:
     """Grid cells in growing-square order (see kernels)."""
     cells = []
     for k in range(n):
         cells.extend((i, k) for i in range(k))
         cells.extend((k, j) for j in range(k + 1))
-    return cells
+    return tuple(cells)
+
+
+def _cell_order(n: int, cells) -> tuple:
+    """(cell_index, top_pos, left_pos, chain) of a search order over the
+    n x n grid, as read-only int64 arrays: the row-major index of each
+    position's cell, the positions of its top and left neighbours (-1
+    for none), and for each border position after the first, the
+    border position before it (else -1).
+
+    Raises ValueError unless cells lists every grid cell once, after its
+    top and left neighbours.
+    """
+    ij = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    d = np.arange(len(ij))
+    # one padding row and column of -1, which index -1 reaches
+    pos = np.full((n + 1, n + 1), -1)
+    inside = len(ij) == n * n and bool(((ij >= 0) & (ij < n)).all())
+    if inside:
+        pos[ij[:, 0], ij[:, 1]] = d
+        top_pos, left_pos = pos[ij[:, 0] - 1, ij[:, 1]], pos[ij[:, 0], ij[:, 1] - 1]
+    if not inside or (pos[:n, :n] < 0).any() or (np.maximum(top_pos, left_pos) > d).any():
+        raise ValueError("cells must list every grid cell once, after its top and left neighbours")
+    chain = np.full(len(ij), -1)
+    border = np.flatnonzero(np.minimum(top_pos, left_pos) < 0)
+    chain[border[1:]] = border[:-1]
+    order = ij[:, 0] * n + ij[:, 1], top_pos, left_pos, chain
+    for array in order:
+        array.setflags(write=False)
+    return order
+
+
+@functools.lru_cache(maxsize=16)
+def _square_cell_order(n: int) -> tuple:
+    """_cell_order of the growing-square order, shared through the cache."""
+    return _cell_order(n, _square_order(n))
+
+
+def _probe_slots(homes: np.ndarray, bits: int) -> np.ndarray:
+    """Slots for keys with these home slots in a linear-probing table of
+    2**bits slots, fewer keys than slots, such that the slots from each
+    key's home up to its own, cyclically, are all taken.
+
+    Keys placed in order of home slot each take the first free slot at or
+    after their home, which is i + max over j <= i of (home_j - j) for
+    the i-th; the keys that run past the last slot are then placed first,
+    from slot 0.  That second placement wraps no key, since a run from
+    slot 0 past the last slot would fill every slot.
+    """
+    order = np.argsort(homes, kind="stable")
+    home = homes[order]
+    step = np.arange(len(home))
+    slot = step + np.maximum.accumulate(home - step)
+    past = slot >= 1 << bits
+    if past.any():
+        order = np.concatenate((order[past], order[~past]))
+        home = np.concatenate((np.zeros(past.sum(), dtype=home.dtype), home[~past]))
+        slot = step + np.maximum.accumulate(home - step)
+    placed = np.empty_like(slot)
+    placed[order] = slot
+    return placed
 
 
 # where arguments() puts the stored-placement buffer
@@ -108,15 +169,12 @@ class _SearchPlan:
             raise ValueError(f"bag has {len(sides)} pieces, expected {n * n}")
         self.n = n
         self.labels = labels
-        self.cells = _square_order(n) if cells is None else list(cells)
-        self.cell_index = np.array([i * n + j for i, j in self.cells], dtype=np.int64)
-        pos = {cell: d for d, cell in enumerate(self.cells)}
-        top_pos = [pos.get((i - 1, j), -1) for i, j in self.cells]
-        left_pos = [pos.get((i, j - 1), -1) for i, j in self.cells]
-        if sorted(self.cells) != [(i, j) for i in range(n) for j in range(n)] or any(
-            max(t, l) > d for d, (t, l) in enumerate(zip(top_pos, left_pos))
-        ):
-            raise ValueError("cells must list every grid cell once, after its top and left neighbours")
+        if cells is None:
+            self.cells = _square_order(n)
+            self.cell_index, top_pos, left_pos, chain = _square_cell_order(n)
+        else:
+            self.cells = tuple(cells)
+            self.cell_index, top_pos, left_pos, chain = _cell_order(n, self.cells)
 
         colors, ranks, multiplicity = np.unique(sides, return_inverse=True, return_counts=True)
         self.colors = colors.tolist()
@@ -141,23 +199,16 @@ class _SearchPlan:
         order = order[keys[order] >= 0]
         groups, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
         bits = (2 * len(groups)).bit_length()
-        mask = (1 << bits) - 1
-        keys = [-1] * (mask + 1)
-        los = [0] * (mask + 1)
-        his = [0] * (mask + 1)
         # int64 products may wrap, but the low 32 bits that home_slot keeps are exact
-        homes = kernels.home_slot(groups, bits)
-        for key, s, lo, count in zip(groups.tolist(), homes.tolist(), starts.tolist(), counts.tolist()):
-            while keys[s] != -1:
-                s = (s + 1) & mask
-            keys[s], los[s], his[s] = key, lo, lo + count
+        slot = _probe_slots(kernels.home_slot(groups, bits), bits)
+        keys = np.full(1 << bits, -1)
+        los = np.zeros(1 << bits, dtype=np.int64)
+        keys[slot], los[slot] = groups, starts
+        his = los.copy()
+        his[slot] += counts
 
         # each border position after the first charges the one before it
-        prev_out = [-1] * len(self.cells)
-        if slack < 2 * n:
-            border = [d for d, (t, l) in enumerate(zip(top_pos, left_pos)) if min(t, l) < 0]
-            for p, d in zip(border, border[1:]):
-                prev_out[d] = p
+        prev_out = chain if slack < 2 * n else np.full(len(chain), -1)
 
         to = kernels.as_backend
         self.inputs = (

@@ -87,7 +87,7 @@ class TestSweep:
 
         spec = self.spec(trials=3)
         serial = run_sweep(spec)
-        monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "numba")
+        monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "c")  # the compiled backend
         assert run_sweep(spec, workers=4) == serial
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
         assert run_sweep(spec) == serial

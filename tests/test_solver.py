@@ -672,6 +672,22 @@ class TestPlanAgainstReference:
         for bits in (1, 9, 13, 20):
             assert kernels.home_slot(np.array(keys), bits).tolist() == [kernels.home_slot(k, bits) for k in keys]
 
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 11])
+    def test_probe_slots_make_a_linear_probing_table(self, bits):
+        # every key's slot is reached from its home by probing through
+        # taken slots only, also for runs that wrap past the last slot
+        rng = np.random.default_rng(bits)
+        size = 1 << bits
+        for _ in range(50):
+            count = int(rng.integers(0, size // 2 + 1))
+            low = int(rng.integers(0, size))
+            homes = (low + rng.integers(0, max(1, size // 4), count)) % size
+            slot = solver._probe_slots(homes, bits)
+            assert len(set(slot.tolist())) == count and all(0 <= s < size for s in slot.tolist())
+            taken = set(slot.tolist())
+            for home, s in zip(homes.tolist(), slot.tolist()):
+                assert all((home + k) % size in taken for k in range((s - home) % size + 1))
+
     def test_python_backend_gets_lists_of_python_ints(self, monkeypatch):
         # list(array) would hand the kernel numpy scalars, which it runs
         # more than twice as slowly
